@@ -485,7 +485,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0,
                    help="seed for all randomized steps (default 0)")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for coloring search (default 1, reproducible)")
+                   help="accepted for compatibility; has no effect (the search is serial)")
     p.add_argument("--budget-hom", type=int, default=10_000,
                    help="largest hom set the oracle will enumerate")
     p.add_argument("--budget-colorings", type=int, default=2_000_000,

@@ -2,10 +2,12 @@
 
 The relation holds when every k-coloring of hom(A, C) admits a morphism
 w in hom(B, C) whose composites with hom(A, B) all receive one color.
-The oracle enumerates all k^|hom(A,C)| colorings in reflected mixed-radix
-Gray order, so each step recolors a single morphism and the per-candidate
-color counters update incrementally.  The verdict is deterministic; when
-the relation fails the returned bad coloring is re-checkable.
+The oracle examines all k^|hom(A,C)| colorings in reflected k-ary Gray
+order, block by block: the colorings of one block share their high digits
+and are decided together, one bit each in a 4,096-bit Python int, by
+clearing the bits under which some candidate is monochromatic.  The
+verdict is deterministic; when the relation fails the returned bad
+coloring is the first one in Gray order and is re-checkable.
 
 Deciding is generic over a category adapter (objects, hom enumeration,
 composition, identity); adapters are provided for the four structure
@@ -15,9 +17,7 @@ categories and for the parameter-word category.
 from __future__ import annotations
 
 import itertools
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -141,24 +141,100 @@ class ArrowVerdict:
         return out
 
 
-def _gray_steps(n_digits: int, radix: int):
-    """Yield (digit, old_value, new_value) steps of the reflected
-    mixed-radix Gray walk through radix^n_digits tuples, one digit per step."""
-    a = [0] * n_digits
-    f = list(range(n_digits + 1))
-    o = [1] * n_digits
-    while True:
-        j = f[0]
-        f[0] = 0
-        if j == n_digits:
-            return
-        old = a[j]
-        a[j] += o[j]
-        if a[j] == 0 or a[j] == radix - 1:
-            o[j] = -o[j]
-            f[j] = f[j + 1]
-            f[j + 1] = j + 1
-        yield j, old, a[j]
+_BLOCK_BITS = 4096  # colorings decided together by each big-int operation
+
+
+def _gray_digits(rank: int, n: int, k: int) -> list[int]:
+    """Digits 0..n-1 of the coloring at ``rank`` in reflected k-ary Gray
+    order, digit 0 changing fastest: with q = rank // k^j and v = q % k,
+    digit j is v when q // k is even and k-1-v otherwise."""
+    out = []
+    for _ in range(n):
+        rank, v = divmod(rank, k)
+        out.append(k - 1 - v if rank & 1 else v)
+    return out
+
+
+def _low_digit_masks(b: int, k: int, parity: int) -> list[list[int]]:
+    """masks[j][c] has bit r set when digit j < b equals c at rank
+    parity * k^b + r.  Digit j runs through 0..k-1 and back in runs of k^j
+    ranks, so within any block of k^b ranks it depends only on the parity
+    of the block index; every block of one parity shares these masks."""
+    size = k**b
+    masks = []
+    for j in range(b):
+        run, span = k**j, k ** (j + 1)
+        reflected = parity * k ** (b - j - 1) & 1
+        row = []
+        for c in range(k):
+            up = ((1 << run) - 1) << (c * run)
+            down = ((1 << run) - 1) << ((k - 1 - c) * run)
+            x = down | up << span if reflected else up | down << span
+            width = 2 * span
+            while width < size:
+                x |= x << width
+                width *= 2
+            row.append(x & ((1 << size) - 1))
+        masks.append(row)
+    return masks
+
+
+def _mono_masks(digit_masks, low, k: int, full: int) -> list[int]:
+    """Per color c, the ranks of a block at which every digit in low is c."""
+    out = []
+    for c in range(k):
+        m = full
+        for i in low:
+            m &= digit_masks[i][c]
+        out.append(m)
+    return out
+
+
+def _first_bad_rank(comp_sets, k: int, n: int, deadline: float | None) -> int | None:
+    """Gray rank of the first coloring under which no candidate is
+    monochromatic, or None when there is none.
+
+    Digits below b are decided k^b colorings at a time: bit r of ``good``
+    stands for rank block * k^b + r, and each candidate whose high
+    composites share a color c clears the ranks where its low composites
+    are all c as well.  The wall-clock budget is checked after each block.
+    """
+    b = 0
+    while b < n and k ** (b + 1) <= _BLOCK_BITS:
+        b += 1
+    size, blocks = k**b, k ** (n - b)
+    full = (1 << size) - 1
+    start, mixed = [], []
+    for parity in range(min(blocks, 2)):
+        digit_masks = _low_digit_masks(b, k, parity)
+        covered, pending, shared = 0, [], {}  # low digits -> complemented masks
+        for comps in comp_sets:
+            low = tuple(i for i in comps if i < b)
+            high = [i - b for i in comps if i >= b]
+            if not high:
+                for m in _mono_masks(digit_masks, low, k, full):
+                    covered |= m
+                continue
+            if low not in shared:
+                shared[low] = [~m for m in _mono_masks(digit_masks, low, k, full)]
+            pending.append((high, shared[low]))
+        start.append(full & ~covered)
+        mixed.append(pending)
+    for block in range(blocks):
+        good = start[block & 1]
+        if good and mixed[block & 1]:
+            hi = _gray_digits(block, n - b, k)
+            for high, not_mono in mixed[block & 1]:
+                c = hi[high[0]]
+                if all(hi[i] == c for i in high):
+                    good &= not_mono[c]
+                    if not good:
+                        break
+        if good:
+            return block * size + (good & -good).bit_length() - 1
+        if deadline is not None and time.monotonic() > deadline:
+            raise BudgetError("arrow decision exceeded its wall-clock budget")
+    return None
 
 
 class _CompositeTable:
@@ -180,44 +256,6 @@ class _CompositeTable:
                     )
                 seen.add(i)
             self.comp_sets.append(tuple(sorted(seen)))
-        self.touching: list[list[int]] = [[] for _ in hom_ac]
-        for wi, comps in enumerate(self.comp_sets):
-            for i in comps:
-                self.touching[i].append(wi)
-
-
-class _MonoTracker:
-    """Incremental count of candidates whose composite set is monochromatic."""
-
-    def __init__(self, table: _CompositeTable, k: int, colors: list[int]):
-        self.table = table
-        self.k = k
-        self.counts = []
-        self.distinct = []
-        self.mono = 0
-        for comps in table.comp_sets:
-            cnt = [0] * k
-            for i in comps:
-                cnt[colors[i]] += 1
-            self.counts.append(cnt)
-            d = sum(1 for c in cnt if c)
-            self.distinct.append(d)
-            if d <= 1:
-                self.mono += 1
-
-    def recolor(self, i: int, old: int, new: int) -> None:
-        for wi in self.table.touching[i]:
-            cnt = self.counts[wi]
-            was = self.distinct[wi]
-            cnt[old] -= 1
-            if cnt[old] == 0:
-                self.distinct[wi] -= 1
-            cnt[new] += 1
-            if cnt[new] == 1:
-                self.distinct[wi] += 1
-            now = self.distinct[wi]
-            if (was <= 1) != (now <= 1):
-                self.mono += 1 if now <= 1 else -1
 
 
 def _first_mono(table: _CompositeTable, coloring: Coloring):
@@ -230,33 +268,6 @@ def _first_mono(table: _CompositeTable, coloring: Coloring):
     return None, None
 
 
-def _search_block(table, k, n, fixed: dict[int, int], cancel: threading.Event | None,
-                  deadline: float | None):
-    """Walk all colorings with the given digits pinned; return the first bad
-    coloring found (as a list of 0-based colors) and the visit count."""
-    free = [i for i in range(n) if i not in fixed]
-    colors = [0] * n
-    for i, c in fixed.items():
-        colors[i] = c
-    tracker = _MonoTracker(table, k, colors)
-    visited = 1
-    if tracker.mono == 0:
-        return list(colors), visited
-    for step, (jf, old, new) in enumerate(_gray_steps(len(free), k)):
-        i = free[jf]
-        colors[i] = new
-        tracker.recolor(i, old, new)
-        visited += 1
-        if tracker.mono == 0:
-            return list(colors), visited
-        if step % 1024 == 0:
-            if cancel is not None and cancel.is_set():
-                return None, visited
-            if deadline is not None and time.monotonic() > deadline:
-                raise BudgetError("arrow decision exceeded its wall-clock budget")
-    return None, visited
-
-
 def decide_arrow(
     instance: ArrowInstance,
     budget: Budget = DEFAULT_BUDGET,
@@ -265,9 +276,11 @@ def decide_arrow(
     """Decide C -> (B)^A_k by exhausting all colorings of hom(A, C).
 
     Refuses (naming the blowup) when a hom set exceeds ``budget.max_hom``
-    or ``k^|hom(A,C)|`` exceeds ``budget.max_colorings``.  The verdict is
-    the same for any thread count; with several threads the bad coloring
-    returned for a failing instance may differ from the serial one.
+    or ``k^|hom(A,C)|`` exceeds ``budget.max_colorings``.  A failing
+    instance returns the first bad coloring in Gray order, and
+    ``colorings_checked`` is its rank plus one; a holding one reports all
+    k^|hom(A,C)| colorings.  ``threads`` is accepted for compatibility and
+    has no effect.
     """
     cat, k = instance.category, instance.k
     hom_ac = cat.hom(instance.A, instance.C, budget)
@@ -290,42 +303,13 @@ def decide_arrow(
     deadline = None
     if budget.wall_ms is not None:
         deadline = time.monotonic() + budget.wall_ms / 1000.0
-    if not hom_bc:
-        counts["colorings_checked"] = 1
-        return ArrowVerdict(False, counts, bad_coloring=Coloring((1,) * n, k))
-    if n == 0:
-        counts["colorings_checked"] = 1
+    rank = _first_bad_rank(table.comp_sets, k, n, deadline)
+    if rank is None:
+        counts["colorings_checked"] = total
         return ArrowVerdict(True, counts)
-
-    if threads <= 1 or n < 2:
-        bad, visited = _search_block(table, k, n, {}, None, deadline)
-        counts["colorings_checked"] = visited
-        if bad is None:
-            return ArrowVerdict(True, counts)
-        return ArrowVerdict(
-            False, counts, bad_coloring=Coloring(tuple(c + 1 for c in bad), k)
-        )
-
-    cancel = threading.Event()
-    results: list[tuple[list[int] | None, int]] = [None] * k  # type: ignore[list-item]
-
-    def run(block: int):
-        res = _search_block(table, k, n, {n - 1: block}, cancel, deadline)
-        if res[0] is not None:
-            cancel.set()
-        return res
-
-    with ThreadPoolExecutor(max_workers=min(threads, k)) as pool:
-        futures = [pool.submit(run, c) for c in range(k)]
-        for c, fut in enumerate(futures):
-            results[c] = fut.result()
-    counts["colorings_checked"] = sum(v for _, v in results)
-    for bad, _ in results:
-        if bad is not None:
-            return ArrowVerdict(
-                False, counts, bad_coloring=Coloring(tuple(c + 1 for c in bad), k)
-            )
-    return ArrowVerdict(True, counts)
+    counts["colorings_checked"] = rank + 1
+    bad = Coloring(tuple(c + 1 for c in _gray_digits(rank, n, k)), k)
+    return ArrowVerdict(False, counts, bad_coloring=bad)
 
 
 def check_coloring(

@@ -84,6 +84,22 @@ def test_arrow_decide_failure_prints_bad_coloring(files, capsys):
     assert lines[-1].startswith("bad_coloring:")
 
 
+def test_arrow_decide_threads_flag_changes_no_byte(files, capsys):
+    edge = files("edge.json", {"kind": "graph", "universe": [1, 2], "edges": [[1, 2]]})
+    k3 = files("k3.json", {"kind": "graph", "universe": [1, 2, 3],
+                           "edges": [[1, 2], [1, 3], [2, 3]]})
+    k5 = files("k5.json", {"kind": "graph", "universe": [1, 2, 3, 4, 5],
+                           "edges": [[a, b] for a in range(1, 6) for b in range(a + 1, 6)]})
+    outs = []
+    for threads in ("1", "4"):
+        code, out = run_main(capsys, "arrow", "decide", "--kind", "graph", "--A", edge,
+                             "--B", k3, "--C", k5, "-k", "2", "--threads", threads)
+        assert code == 0
+        outs.append(out)
+    assert outs[0].splitlines()[0] == "verdict: fails"
+    assert outs[1] == outs[0]
+
+
 def test_arrow_check_coloring(files, capsys):
     a, b, c = files("a.json", POINT), files("b.json", CHAIN2), files("c.json", CHAIN3)
     code, out = run_main(capsys, "arrow", "check-coloring", "--kind", "poset",

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -9,12 +10,12 @@ from ramseylift.oracle import (
     Coloring,
     StructureCategory,
     WordCategory,
-    _gray_steps,
+    _gray_digits,
     check_coloring,
     decide_arrow,
     decide_gr,
 )
-from ramseylift.structures import LinOrderedPoset
+from ramseylift.structures import LinOrderedGraph, LinOrderedPoset
 from ramseylift.words import Alphabet, count_words
 
 A0 = Alphabet(["0"])
@@ -22,18 +23,122 @@ POSETS = StructureCategory("poset")
 POINT = LinOrderedPoset.build([1], [])
 CHAIN2 = LinOrderedPoset.build([1, 2], [(1, 2)])
 CHAIN3 = LinOrderedPoset.build([1, 2, 3], [(1, 2), (1, 3), (2, 3)])
+GRAPHS = StructureCategory("graph")
+
+
+def _gray_steps(n_digits: int, radix: int):
+    """Reference walk: yield (digit, old_value, new_value) steps of the
+    reflected mixed-radix Gray walk through radix^n_digits tuples, one digit
+    per step (Knuth's loopless Algorithm H)."""
+    a = [0] * n_digits
+    f = list(range(n_digits + 1))
+    o = [1] * n_digits
+    while True:
+        j = f[0]
+        f[0] = 0
+        if j == n_digits:
+            return
+        old = a[j]
+        a[j] += o[j]
+        if a[j] == 0 or a[j] == radix - 1:
+            o[j] = -o[j]
+            f[j] = f[j + 1]
+            f[j + 1] = j + 1
+        yield j, old, a[j]
+
+
+def _reference_decide(inst: ArrowInstance):
+    """(holds, bad coloring, colorings checked) by walking the reference
+    Gray order and re-checking every candidate at every coloring."""
+    cat = inst.category
+    hom_ac = cat.hom(inst.A, inst.C)
+    hom_ab = cat.hom(inst.A, inst.B)
+    index = {m: i for i, m in enumerate(hom_ac)}
+    comps = [{index[cat.compose(w, q)] for q in hom_ab} for w in cat.hom(inst.B, inst.C)]
+    state = [0] * len(hom_ac)
+    steps = _gray_steps(len(hom_ac), inst.k)
+    for rank in itertools.count():
+        if not any(len({state[i] for i in c}) <= 1 for c in comps):
+            return False, Coloring(tuple(c + 1 for c in state), inst.k), rank + 1
+        step = next(steps, None)
+        if step is None:
+            return True, None, rank + 1
+        state[step[0]] = step[2]
+
+
+def _random_instances(seed: str, count: int, max_colorings: int):
+    """Seeded poset, graph and word instances with k in {2, 3, 4}."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        kind, k = rng.choice(["poset", "graph", "word"]), rng.choice([2, 3, 4])
+        if kind == "word":
+            cat = WordCategory(Alphabet(rng.choice([["0"], ["0", "1"]])))
+            A = rng.randint(0, 2)
+            B = rng.randint(A, 3)
+            C = rng.randint(B, 5)
+        else:
+            cat, objs = (POSETS if kind == "poset" else GRAPHS), []
+            for n in (rng.randint(1, 2), rng.randint(2, 3), rng.randint(3, 7)):
+                universe = list(range(1, n + 1))
+                pairs = list(itertools.combinations(universe, 2))
+                if kind == "poset":
+                    rank = rng.sample(range(n), n)  # a 2-dimensional order
+                    rel = [(a, b) for a, b in pairs if rank[a - 1] < rank[b - 1]]
+                    objs.append(LinOrderedPoset.build(universe, rel))
+                else:
+                    objs.append(LinOrderedGraph.build(universe, [e for e in pairs if rng.random() < 0.5]))
+            A, B, C = objs
+        if k ** len(cat.hom(A, C)) <= max_colorings:
+            out.append(ArrowInstance(cat, A, B, C, k))
+    return out
+
+
+# failing instances whose first bad coloring lies past the first 4,096-coloring block
+LATE_FAILURES = [
+    ArrowInstance(WordCategory(A0), 1, 2, 4, 2),
+    ArrowInstance(WordCategory(Alphabet(["0", "1"])), 0, 1, 3, 4),
+    ArrowInstance(WordCategory(Alphabet(["0", "1"])), 0, 2, 4, 2),
+    ArrowInstance(
+        POSETS, CHAIN2, CHAIN3,
+        LinOrderedPoset.build(range(1, 7), [(1, 3), (1, 5), (1, 6), (2, 3), (2, 5), (2, 6),
+                                            (3, 5), (3, 6), (5, 6)]),
+        4,
+    ),
+    ArrowInstance(
+        GRAPHS, LinOrderedGraph.build([1, 2], []), LinOrderedGraph.build([1, 2, 3], [(1, 2)]),
+        LinOrderedGraph.build(range(1, 7), [(1, 4), (1, 5), (2, 3), (2, 4), (2, 6), (3, 5), (4, 5)]),
+        4,
+    ),
+]
 
 
 def test_gray_walk_covers_everything_one_digit_at_a_time():
-    for n, k in [(0, 2), (1, 3), (3, 2), (2, 4), (4, 3)]:
+    for n, k in [(0, 2), (1, 3), (3, 2), (2, 4), (4, 3), (5, 2)]:
         state = [0] * n
         seen = {tuple(state)}
-        for j, old, new in _gray_steps(n, k):
+        assert _gray_digits(0, n, k) == state
+        for rank, (j, old, new) in enumerate(_gray_steps(n, k), start=1):
             assert state[j] == old and abs(new - old) == 1
             state[j] = new
             assert tuple(state) not in seen
             seen.add(tuple(state))
+            assert _gray_digits(rank, n, k) == state
         assert len(seen) == k**n
+
+
+def test_kernel_matches_reference_walk():
+    instances = _random_instances("oracle:kernel", 150, 20_000)
+    instances += LATE_FAILURES
+    multi_block = late = 0
+    for inst in instances:
+        verdict = decide_arrow(inst)
+        holds, bad, checked = _reference_decide(inst)
+        assert (verdict.holds, verdict.bad_coloring, verdict.counts["colorings_checked"]) == (
+            holds, bad, checked), inst
+        multi_block += inst.k ** verdict.counts["hom_AC"] > 4096
+        late += not holds and checked > 4096
+    assert multi_block >= 10 and late >= len(LATE_FAILURES)
 
 
 def test_three_chain_arrows_two_chain():
@@ -139,7 +244,7 @@ def test_thread_count_does_not_change_verdicts():
     for inst in instances:
         serial = decide_arrow(inst, threads=1)
         threaded = decide_arrow(inst, threads=4)
-        assert serial.holds == threaded.holds
+        assert serial == threaded
         if not threaded.holds:
             recheck, _ = check_coloring(inst, threaded.bad_coloring)
             assert not recheck.holds

@@ -6,7 +6,9 @@ that the library implementations are checked against.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from fractions import Fraction
 
 from ramseylift.errors import EmbeddingError
@@ -70,22 +72,27 @@ def brute_force_words(alphabet: Alphabet, n: int, m: int):
 
 def is_nonneg_combination(value: Fraction, generators: list[Fraction]) -> bool:
     """Whether value is a nonnegative integer combination of the generators
-    (bounded coin-change search over exact rationals)."""
-    if value == 0:
-        return True
-    reachable = {Fraction(0)}
-    frontier = {Fraction(0)}
-    while frontier:
-        nxt = set()
-        for base in frontier:
-            for g in generators:
-                if g <= 0:
-                    continue
-                s = base + g
-                if s == value:
-                    return True
-                if s < value and s not in reachable:
-                    reachable.add(s)
-                    nxt.add(s)
-        frontier = nxt
-    return False
+    (coin-change reachability over their common denominator)."""
+    positive = tuple(sorted({g for g in generators if g > 0}))
+    den = math.lcm(*(g.denominator for g in positive))
+    scaled = value * den
+    if value < 0 or scaled.denominator != 1:
+        return False
+    limit = int(max((value, *positive)) * den)
+    return bool(_reachable(positive, den, limit) >> int(scaled) & 1)
+
+
+@functools.lru_cache(maxsize=8)
+def _reachable(generators: tuple[Fraction, ...], den: int, limit: int) -> int:
+    """Bit t is set when t/den, for t <= limit, is a nonnegative integer
+    combination of the generators.  Shifting by g, 2g, 4g, ... adds every
+    multiple of g up to the limit; callers asking about the values of one
+    input share the limit, so the set is built once per input."""
+    window = (1 << (limit + 1)) - 1
+    bits = 1
+    for g in generators:
+        shift = int(g * den)
+        while shift <= limit:
+            bits = (bits | bits << shift) & window
+            shift *= 2
+    return bits
