@@ -377,7 +377,6 @@ def cmd_arrow_decide(args, rep):
     payload = {
         "instance": {"kind": args.kind, "k": args.k},
         "seed": args.seed,
-        "threads": args.threads,
         **verdict.to_json(inst.category),
     }
     lines = [

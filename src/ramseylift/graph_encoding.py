@@ -41,7 +41,11 @@ def phi_graph(g: LinOrderedGraph, u: ParameterWord) -> dict:
     strictly increasing in the clex order, i.e. that the map is an
     embedding into the subset graph on {1..N}.
     """
-    enc = encode_graph(g)
+    return _phi_graph(encode_graph(g), u)
+
+
+def _phi_graph(enc: GraphEncoding, u: ParameterWord) -> dict:
+    g = enc.graph
     n = len(g.universe)
     if u.m != enc.object:
         raise DomainError(
@@ -84,7 +88,6 @@ def witness_graph(
     if not u.alphabet.letters:
         raise DomainError("witness construction needs at least one letter for the blanks")
     u_hat = phi_graph(g, u)
-    enc = encode_graph(g)
     enc2 = encode_graph(g2)
     p = len(g2.universe)
     q = len(enc2.edge_order)
@@ -102,7 +105,7 @@ def witness_graph(
         hit = [i for i, blk in enumerate(blocks) if part <= blk]
         symbols.append(hit[0] + 1 if hit else blank)
     h = validate(symbols, u.alphabet, p + q)
-    check = phi_graph(g2, compose(u, h))
+    check = _phi_graph(enc2, compose(u, h))
     for v in g2.universe:
         if check[v] != u_hat[f(v)]:
             raise VerificationError(

@@ -16,23 +16,23 @@ exactly what makes this a metric.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetError, DomainError, SpectrumError
+from .errors import BudgetError, DomainError, SpectrumError, VerificationError
 from .orders import LESS, compare_tuples
 from .structures import (
+    DEFAULT_MAX_POINTS,
     Embedding,
     LinOrderedMetricSpace,
     LinOrderedPoset,
+    _scaled,
     check_embedding,
-    parse_rational,
+    checked_spectrum,
+    _tuple_points,
 )
-from .errors import VerificationError
 
-DEFAULT_MAX_POINTS = 4096
 COMPLETION_STEP_CAP = 10**6
 
 
@@ -46,19 +46,9 @@ class TightSpectrum:
         return len(self.values) - 1
 
 
-def _checked_values(values) -> tuple[Fraction, ...]:
-    vals = tuple(parse_rational(v) for v in values)
-    if not vals or vals[0] != 0:
-        raise SpectrumError("spectrum must start at 0")
-    for a, b in zip(vals, vals[1:]):
-        if not a < b:
-            raise SpectrumError("spectrum must be strictly increasing")
-    return vals
-
-
 def is_tight(values) -> bool:
     """Whether s_{i+j} <= s_i + s_j for all 1 <= i <= j with i+j <= k."""
-    vals = _checked_values(values)
+    vals = checked_spectrum(values)
     k = len(vals) - 1
     for i in range(1, k + 1):
         for j in range(i, k - i + 1):
@@ -68,7 +58,7 @@ def is_tight(values) -> bool:
 
 
 def tight_spectrum(values) -> TightSpectrum:
-    vals = _checked_values(values)
+    vals = checked_spectrum(values)
     return TightSpectrum(vals, is_tight(vals))
 
 
@@ -81,7 +71,7 @@ def tight_complete(values, step_cap: int = COMPLETION_STEP_CAP) -> TightSpectrum
     and last nonzero original values as its own.  The loop provably
     terminates; ``step_cap`` turns a would-be bug into an error.
     """
-    vals = _checked_values(values)
+    vals = checked_spectrum(values)
     if len(vals) < 2:
         raise SpectrumError("completion needs at least one nonzero value")
     s = list(vals)
@@ -111,11 +101,6 @@ def tight_complete(values, step_cap: int = COMPLETION_STEP_CAP) -> TightSpectrum
 # encoding
 
 
-def level_below(space: LinOrderedMetricSpace, spect, a: tuple, b: tuple) -> bool:
-    (x, i), (y, j) = a, b
-    return i <= j and space.d(x, y) <= spect[j] - spect[i]
-
-
 def encode_metric(space: LinOrderedMetricSpace) -> LinOrderedPoset:
     """The poset on (point, level) pairs for levels 0..k.
 
@@ -123,14 +108,16 @@ def encode_metric(space: LinOrderedMetricSpace) -> LinOrderedPoset:
     ``(x,i) below (y,j) iff i <= j and d(x,y) <= s_j - s_i`` is a partial
     order for any spectrum, tight or not.
     """
-    spect = _checked_values(space.spectrum)
-    k = len(spect) - 1
+    k = len(checked_spectrum(space.spectrum)) - 1
+    dist, spect = _scaled(space)
+    n = len(space.universe)
     elems = [(x, i) for i in range(k + 1) for x in space.universe]
-    pairs = [
-        (a, b)
-        for a, b in itertools.permutations(elems, 2)
-        if level_below(space, spect, a, b)
-    ]
+    pairs = []
+    for p, a in enumerate(elems):  # in the order of permutations(elems, 2)
+        i, r = divmod(p, n)
+        for j in range(i, k + 1):
+            gap, level = spect[j] - spect[i], elems[j * n:(j + 1) * n]
+            pairs += [(a, b) for b, v in zip(level, dist[r]) if v <= gap and b is not a]
     return LinOrderedPoset.build(elems, pairs)
 
 
@@ -150,7 +137,7 @@ def _dist_tuples_raw(poset: LinOrderedPoset, spect: tuple[Fraction, ...], a, b) 
 def dist_metric_tuples(poset: LinOrderedPoset, spectrum, a: tuple, b: tuple) -> Fraction:
     """Distance between two k-tuples over the poset; refuses a non-tight
     spectrum since the triangle inequality would then be unproven."""
-    spect = _checked_values(spectrum)
+    spect = checked_spectrum(spectrum)
     if not is_tight(spect):
         raise SpectrumError("tuple distance requires a tight spectrum")
     for entry in itertools.chain(a, b):
@@ -168,27 +155,10 @@ def decode_poset_metric(
     """The metric tuple space over the poset, on all |A|^k tuples or a given
     subset, ordered lexicographically.  Validates the metric axioms of
     whatever is materialized; refuses non-tight spectra."""
-    spect = _checked_values(spectrum)
+    spect = checked_spectrum(spectrum)
     if not is_tight(spect):
         raise SpectrumError("tuple space requires a tight spectrum")
-    k = len(spect) - 1
-    if points is None:
-        total = len(poset.universe) ** k
-        if total > max_points:
-            raise BudgetError(
-                f"full tuple space has {total} points, above the bound {max_points}"
-            )
-        pts = [tuple(t) for t in itertools.product(poset.universe, repeat=k)]
-    else:
-        pts = [tuple(p) for p in points]
-        if len(pts) > max_points:
-            raise BudgetError(f"{len(pts)} points requested, above the bound {max_points}")
-        if len(set(pts)) != len(pts):
-            raise DomainError("duplicate tuple points")
-    pts = sorted(
-        pts,
-        key=functools.cmp_to_key(lambda s, t: compare_tuples(poset.order, "lex", s, t)),
-    )
+    pts = _tuple_points(poset, len(spect) - 1, points, max_points, "lex")
     dist = {
         (s, t): _dist_tuples_raw(poset, spect, s, t)
         for s, t in itertools.combinations(pts, 2)
@@ -205,7 +175,7 @@ def phi_metric(space: LinOrderedMetricSpace, poset: LinOrderedPoset, u: Embeddin
     level_poset = encode_metric(space)
     if u.source != level_poset or u.target != poset:
         raise DomainError("phi requires an embedding of the space's level poset into the target poset")
-    spect = _checked_values(space.spectrum)
+    spect = checked_spectrum(space.spectrum)
     if not is_tight(spect):
         raise SpectrumError("phi requires a tight spectrum")
     k = len(spect) - 1

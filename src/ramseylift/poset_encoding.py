@@ -42,7 +42,11 @@ def phi_poset(p: LinOrderedPoset, u: ParameterWord) -> dict:
     set-incomparable sets, and the linear order to strictly clex-increasing
     images.
     """
-    enc = encode_poset(p)
+    return _phi_poset(encode_poset(p), u)
+
+
+def _phi_poset(enc: PosetEncoding, u: ParameterWord) -> dict:
+    p = enc.poset
     if u.m != enc.object:
         raise DomainError(
             f"word has {u.m} parameters but the poset encodes to object {enc.object}"
@@ -106,8 +110,8 @@ def witness_poset(
             )
         symbols.append(j + 1)
     h = validate(symbols, u.alphabet, enc2.object)
-    u_hat = phi_poset(p, u)
-    check = phi_poset(p2, compose(u, h))
+    u_hat = _phi_poset(enc, u)
+    check = _phi_poset(enc2, compose(u, h))
     for b in p2.universe:
         if check[b] != u_hat[f(b)]:
             raise VerificationError(

@@ -1,23 +1,30 @@
 """Finite ordered structures: graphs, posets, ultrametric and metric spaces.
 
 All four kinds carry an explicit linear order on their universe (a
-:class:`~ramseylift.orders.BaseOrder`).  Distances are exact rationals;
-no floating point is used anywhere.  Construction through the ``build``
+:class:`~ramseylift.orders.BaseOrder`).  Distances are exact rationals at
+I/O (fields, JSON, messages); no floating point is used anywhere.  Inside,
+validation, balls and downsets work on ranks: a relation as per-rank
+bitmasks, distances as integers over their common denominator, point sets
+as rank bitmasks.  Construction through the ``build``
 classmethods or :func:`from_json` validates every axiom; the raw dataclass
 constructors are unchecked so that tests can exercise the validators.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-from .errors import DomainError, EmbeddingError, StructureError
-from .orders import BaseOrder, sort_subsets
+from .errors import BudgetError, DomainError, EmbeddingError, SpectrumError, StructureError
+from .orders import BaseOrder, compare_tuples
 
 Rational = Fraction
+
+DEFAULT_MAX_POINTS = 4096  # largest tuple space the decoders build by default
 
 
 def parse_rational(value) -> Fraction:
@@ -39,6 +46,16 @@ def parse_rational(value) -> Fraction:
 def format_rational(q: Fraction) -> str:
     """Canonical text form: ``"p"`` for integers, else ``"p/q"`` in lowest terms."""
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
+def checked_spectrum(values) -> tuple[Fraction, ...]:
+    """Parse a distance spectrum, which must start at 0 and strictly increase."""
+    vals = tuple(parse_rational(v) for v in values)
+    if not vals or vals[0] != 0:
+        raise SpectrumError("spectrum must start at 0")
+    if any(not a < b for a, b in zip(vals, vals[1:])):
+        raise SpectrumError("spectrum must be strictly increasing")
+    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +143,20 @@ class _SpaceMixin:
         return frozenset(y for y in self.universe if self.d(x, y) <= radius)
 
 
+def _scaled(space) -> tuple[list[list[int]], list[int]]:
+    """The distance matrix and the spectrum as integers over their common
+    denominator.  Comparisons, sums and differences of these are exact and
+    ordered like the rationals they stand for."""
+    den = math.lcm(*{v.denominator for row in space.dmatrix for v in row},
+                   *(v.denominator for v in space.spectrum))
+    return ([[v.numerator * (den // v.denominator) for v in row] for row in space.dmatrix],
+            [v.numerator * (den // v.denominator) for v in space.spectrum])
+
+
+def _members(elems: tuple, mask: int) -> frozenset:
+    return frozenset(x for r, x in enumerate(elems) if mask >> r & 1)
+
+
 def _build_space(cls, points, dist, spectrum):
     order = BaseOrder(points)
     dist = {tuple(k): parse_rational(v) for k, v in dict(dist).items()}
@@ -188,22 +219,18 @@ def _validate_spectrum(spectrum: tuple[Fraction, ...]) -> None:
 
 def _validate_metric_axioms(space, strong: bool) -> None:
     pts = space.universe
-    for x in pts:
-        if space.d(x, x) != 0:
+    dist, _ = _scaled(space)
+    for r, x in enumerate(pts):
+        if dist[r][r] != 0:
             raise StructureError(f"d({x!r},{x!r}) must be 0")
-    for x, y in itertools.combinations(pts, 2):
-        v = space.d(x, y)
-        if v <= 0:
+    for (r, x), (q, y) in itertools.combinations(enumerate(pts), 2):
+        if dist[r][q] <= 0:
             raise StructureError(f"d({x!r},{y!r}) must be positive for distinct points")
-    for x, y, z in itertools.permutations(pts, 3):
-        if strong:
-            if space.d(x, z) > max(space.d(x, y), space.d(y, z)):
-                raise StructureError(
-                    f"strong triangle inequality fails on ({x!r},{y!r},{z!r})"
-                )
-        else:
-            if space.d(x, z) > space.d(x, y) + space.d(y, z):
-                raise StructureError(f"triangle inequality fails on ({x!r},{y!r},{z!r})")
+    what = "strong triangle inequality" if strong else "triangle inequality"
+    for r, q, z in itertools.permutations(range(len(pts)), 3):
+        a, b, c = dist[r][q], dist[q][z], dist[r][z]
+        if (c > a and c > b) if strong else c > a + b:
+            raise StructureError(f"{what} fails on ({pts[r]!r},{pts[q]!r},{pts[z]!r})")
     if not space.attained() <= set(space.spectrum):
         extra = sorted(space.attained() - set(space.spectrum))
         raise StructureError(
@@ -211,15 +238,55 @@ def _validate_metric_axioms(space, strong: bool) -> None:
         )
 
 
+def _ball_masks(space) -> list[list[int]]:
+    """``masks[i][r]``: the ranks within distance ``spectrum[i]`` of rank r."""
+    dist, spect = _scaled(space)
+    return [[sum(1 << z for z, v in enumerate(row) if v <= radius) for row in dist]
+            for radius in spect]
+
+
 def _validate_convexity(space: ConvUltrametricSpace) -> None:
-    pts = space.universe
-    for x in pts:
-        for radius in space.spectrum:
-            ball = [space.order.rank(y) for y in space.point_ball(x, radius)]
-            if ball and max(ball) - min(ball) + 1 != len(ball):
+    masks = _ball_masks(space)
+    for r, x in enumerate(space.universe):
+        for i, radius in enumerate(space.spectrum):
+            run = masks[i][r] // (masks[i][r] & -masks[i][r])
+            if run & (run + 1):
                 raise StructureError(
                     f"ball around {x!r} of radius {format_rational(radius)} is not an interval"
                 )
+
+
+def _ranked_pairs(p: LinOrderedPoset) -> list[tuple[int, int]]:
+    """The relation as pairs of ranks, in the iteration order of ``leq``."""
+    rank = p.order.rank_map
+    try:
+        return [(rank[a], rank[b]) for a, b in p.leq]
+    except KeyError:
+        a, b = next((a, b) for a, b in p.leq if a not in rank or b not in rank)
+        raise StructureError(f"relation pair ({a!r},{b!r}) uses undeclared elements") from None
+
+
+def _validate_poset(s: LinOrderedPoset) -> None:
+    elems = s.universe
+    pairs = _ranked_pairs(s)
+    up = [0] * len(elems)  # up[r]: the ranks above rank r
+    for ra, rb in pairs:
+        up[ra] |= 1 << rb
+    for r, a in enumerate(elems):
+        if not up[r] >> r & 1:
+            raise StructureError(f"relation not reflexive at {a!r}")
+    for ra, rb in pairs:
+        if ra != rb and up[rb] >> ra & 1:
+            raise StructureError(f"relation not antisymmetric on ({elems[ra]!r},{elems[rb]!r})")
+    for ra, rb in pairs:
+        missing = up[rb] & ~up[ra]
+        if missing:
+            a, b, c = elems[ra], elems[rb], elems[(missing & -missing).bit_length() - 1]
+            raise StructureError(f"relation not transitive via ({a!r},{b!r},{c!r})")
+    for ra, rb in pairs:
+        if ra > rb:
+            a, b = elems[ra], elems[rb]
+            raise StructureError(f"linear order does not extend the partial order on ({a!r},{b!r})")
 
 
 def validate_structure(s) -> dict:
@@ -239,25 +306,7 @@ def validate_structure(s) -> dict:
                     raise StructureError(f"edge vertex {v!r} not declared")
         return {"kind": kind, "size": len(s.order), "edges": len(s.edges)}
     if kind == "poset":
-        elems = s.universe
-        for a, b in s.leq:
-            if a not in s.order or b not in s.order:
-                raise StructureError(f"relation pair ({a!r},{b!r}) uses undeclared elements")
-        for a in elems:
-            if not s.below(a, a):
-                raise StructureError(f"relation not reflexive at {a!r}")
-        for a, b in s.leq:
-            if a != b and s.below(b, a):
-                raise StructureError(f"relation not antisymmetric on ({a!r},{b!r})")
-        for a, b in s.leq:
-            for c in elems:
-                if s.below(b, c) and not s.below(a, c):
-                    raise StructureError(f"relation not transitive via ({a!r},{b!r},{c!r})")
-        for a, b in s.leq:
-            if a != b and not s.order.rank(a) < s.order.rank(b):
-                raise StructureError(
-                    f"linear order does not extend the partial order on ({a!r},{b!r})"
-                )
+        _validate_poset(s)
         return {"kind": kind, "size": len(s.order), "relation_pairs": len(s.leq)}
     if kind in ("ultrametric", "metric"):
         _validate_spectrum(s.spectrum)
@@ -438,14 +487,19 @@ def induced_substructure(s, subset: Iterable):
 
 def downsets(p: LinOrderedPoset) -> tuple[frozenset, ...]:
     """All nonempty downsets of the poset, strictly increasing under the
-    anti-lexicographic subset order of the poset's linear order."""
-    elems = p.universe
-    found = []
-    for mask in range(1, 1 << len(elems)):
-        subset = frozenset(elems[i] for i in range(len(elems)) if mask >> i & 1)
-        if all(p.below(b, a) <= (b in subset) for a in subset for b in elems):
-            found.append(subset)
-    return tuple(sort_subsets(p.order, "alex", found))
+    anti-lexicographic subset order of the poset's linear order.
+
+    As rank bitmasks, anti-lexicographic order is integer order.  A downset
+    minus its top element is again a downset, since the linear order extends
+    the relation, so the downsets grow one rank at a time."""
+    down = [0] * len(p.universe)  # down[r]: the ranks below rank r
+    for ra, rb in _ranked_pairs(p):
+        down[rb] |= 1 << ra
+    found = [0]
+    for r, below in enumerate(down):
+        bit = 1 << r
+        found += [d | bit for d in found if not below & ~(d | bit)]
+    return tuple(_members(p.universe, d) for d in sorted(found[1:]))
 
 
 @dataclass(frozen=True)
@@ -464,16 +518,42 @@ class Ball:
         return self.points <= other.points and self.radius_index <= other.radius_index
 
 
+def _distinct_balls(masks: list[list[int]]) -> list[tuple[int, int]]:
+    """The distinct (radius index, rank mask) pairs, by radius index then
+    lowest rank."""
+    return [(i, m) for i, row in enumerate(masks)
+            for m in sorted(set(row), key=lambda m: (m & -m, m))]
+
+
 def balls(space: ConvUltrametricSpace) -> tuple[Ball, ...]:
     """All balls of the space as (point set, radius index) pairs,
     deduplicated on the pair and sorted by radius index then minimum point."""
-    out = set()
-    for i, radius in enumerate(space.spectrum):
-        for x in space.universe:
-            out.add(Ball(space.point_ball(x, radius), i))
-    return tuple(
-        sorted(out, key=lambda b: (b.radius_index, min(space.order.rank(y) for y in b.points)))
-    )
+    return tuple(Ball(_members(space.universe, m), i)
+                 for i, m in _distinct_balls(_ball_masks(space)))
+
+
+def _tuple_points(poset: LinOrderedPoset, k: int, points, max_points: int, kind: str) -> list:
+    """The points of a tuple space over the poset, sorted under the tuple
+    order ``kind``: all |A|^k k-tuples, or the given ones, each checked once.
+    Refuses more than ``max_points`` points."""
+    if points is None:
+        total = len(poset.universe) ** k
+        if total > max_points:
+            raise BudgetError(f"full tuple space has {total} points, above the bound {max_points}")
+        pts = list(itertools.product(poset.universe, repeat=k))
+    else:
+        pts = [tuple(p) for p in points]
+        if len(pts) > max_points:
+            raise BudgetError(f"{len(pts)} points requested, above the bound {max_points}")
+        if len(set(pts)) != len(pts):
+            raise DomainError("duplicate tuple points")
+        if any(len(t) != k for t in pts):
+            raise DomainError(f"tuples must have length {k}")
+        for entry in itertools.chain.from_iterable(pts):
+            if entry not in poset.order:
+                raise DomainError(f"tuple entry {entry!r} is not a poset element")
+    return sorted(pts, key=functools.cmp_to_key(
+        lambda s, t: compare_tuples(poset.order, kind, s, t)))
 
 
 # ---------------------------------------------------------------------------

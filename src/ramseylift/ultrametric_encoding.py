@@ -10,24 +10,26 @@ tuples is s_j for the least j such that they agree from index j on
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetError, DomainError, SpectrumError, VerificationError
+from .errors import DomainError, SpectrumError, VerificationError
 from .orders import LESS, compare_tuples
 from .structures import (
+    DEFAULT_MAX_POINTS,
     Ball,
     ConvUltrametricSpace,
     Embedding,
     LinOrderedPoset,
-    balls,
+    _ball_masks,
+    _distinct_balls,
+    _members,
     check_embedding,
+    checked_spectrum,
+    _tuple_points,
     validate_structure,
 )
-
-DEFAULT_MAX_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -36,11 +38,22 @@ class BallPoset:
     poset: LinOrderedPoset  # elements are Ball values in radius-then-leftmost order
 
 
-def _check_spectrum(spectrum) -> tuple[Fraction, ...]:
-    spect = tuple(spectrum)
-    if not spect or spect[0] != 0 or any(not a < b for a, b in zip(spect, spect[1:])):
-        raise SpectrumError("spectrum must be sorted, distinct, and start at 0")
-    return spect
+def _encode(space: ConvUltrametricSpace):
+    """The ball poset, the balls keyed by (radius index, rank mask), and the
+    ball masks of every point (``masks[i][r]``)."""
+    checked_spectrum(space.spectrum)
+    masks = _ball_masks(space)
+    keys = _distinct_balls(masks)
+    elems = [Ball(_members(space.universe, m), i) for i, m in keys]
+    for (i, m), b in zip(keys, elems):
+        if any(masks[i][r] != m for r in range(len(masks[i])) if m >> r & 1):
+            raise VerificationError(
+                f"ball {sorted(b.points)!r} at radius index {i} depends on the choice of center"
+            )
+    pairs = [(elems[p], elems[q]) for p, (i, m) in enumerate(keys)
+             for q, (j, m2) in enumerate(keys) if p != q and i <= j and not m & ~m2]
+    poset = LinOrderedPoset.build(elems, pairs)
+    return BallPoset(space, poset), dict(zip(keys, elems)), masks
 
 
 def encode_ultrametric(space: ConvUltrametricSpace) -> BallPoset:
@@ -49,21 +62,7 @@ def encode_ultrametric(space: ConvUltrametricSpace) -> BallPoset:
     Asserts center-independence: every point of a ball generates the same
     point set at the ball's nominal radius.
     """
-    spect = _check_spectrum(space.spectrum)
-    elems = balls(space)
-    for b in elems:
-        radius = spect[b.radius_index]
-        for y in b.points:
-            if space.point_ball(y, radius) != b.points:
-                raise VerificationError(
-                    f"ball {sorted(b.points)!r} at radius index {b.radius_index} "
-                    f"depends on the choice of center"
-                )
-    pairs = [
-        (a, b) for a, b in itertools.permutations(elems, 2) if a.leq(b)
-    ]
-    poset = LinOrderedPoset.build(elems, pairs)
-    return BallPoset(space, poset)
+    return _encode(space)[0]
 
 
 def point_ball_pair(space: ConvUltrametricSpace, x, i: int) -> Ball:
@@ -71,27 +70,24 @@ def point_ball_pair(space: ConvUltrametricSpace, x, i: int) -> Ball:
     return Ball(space.point_ball(x, space.spectrum[i]), i)
 
 
+def _dist_raw(spect: tuple[Fraction, ...], a: tuple, b: tuple) -> Fraction:
+    j = len(a)
+    while j and a[j - 1] == b[j - 1]:
+        j -= 1
+    return spect[j]
+
+
 def dist_ultra_tuples(poset: LinOrderedPoset, spectrum, a: tuple, b: tuple) -> Fraction:
     """Distance between two k-tuples: s_j for the least j with the tuples
     equal from index j on; s_k when no such j exists."""
-    spect = _check_spectrum(spectrum)
+    spect = checked_spectrum(spectrum)
     k = len(spect) - 1
     if len(a) != k or len(b) != k:
         raise DomainError(f"tuples must have length {k}")
     for entry in itertools.chain(a, b):
         if entry not in poset.order:
             raise DomainError(f"tuple entry {entry!r} is not a poset element")
-    j = k
-    for p in range(k - 1, -1, -1):
-        if a[p] != b[p]:
-            break
-        j = p
-    return spect[j]
-
-
-def tuple_space_points(poset: LinOrderedPoset, k: int):
-    """All k-tuples over the poset's universe."""
-    return [tuple(t) for t in itertools.product(poset.universe, repeat=k)]
+    return _dist_raw(spect, tuple(a), tuple(b))
 
 
 def decode_poset_ultra(
@@ -105,29 +101,9 @@ def decode_poset_ultra(
     Validates the ultrametric axioms and ball convexity of whatever is
     materialized.  Refuses to build more than ``max_points`` points.
     """
-    spect = _check_spectrum(spectrum)
-    k = len(spect) - 1
-    if points is None:
-        total = len(poset.universe) ** k
-        if total > max_points:
-            raise BudgetError(
-                f"full tuple space has {total} points, above the bound {max_points}"
-            )
-        pts = tuple_space_points(poset, k)
-    else:
-        pts = [tuple(p) for p in points]
-        if len(pts) > max_points:
-            raise BudgetError(f"{len(pts)} points requested, above the bound {max_points}")
-        if len(set(pts)) != len(pts):
-            raise DomainError("duplicate tuple points")
-    pts = sorted(
-        pts,
-        key=functools.cmp_to_key(lambda s, t: compare_tuples(poset.order, "alex", s, t)),
-    )
-    dist = {
-        (s, t): dist_ultra_tuples(poset, spect, s, t)
-        for s, t in itertools.combinations(pts, 2)
-    }
+    spect = checked_spectrum(spectrum)
+    pts = _tuple_points(poset, len(spect) - 1, points, max_points, "alex")
+    dist = {(s, t): _dist_raw(spect, s, t) for s, t in itertools.combinations(pts, 2)}
     return ConvUltrametricSpace.build(pts, dist, spect)
 
 
@@ -138,20 +114,20 @@ def phi_ultra(space: ConvUltrametricSpace, poset: LinOrderedPoset, u: Embedding)
     injectivity, exact distance preservation, and strict anti-lexicographic
     order preservation of the images.
     """
-    ball_poset = encode_ultrametric(space)
+    ball_poset, ball_of, masks = _encode(space)
     if u.source != ball_poset.poset or u.target != poset:
         raise DomainError("phi requires an embedding of the space's ball poset into the target poset")
     spect = space.spectrum
     k = len(spect) - 1
     images = {
-        x: tuple(u(point_ball_pair(space, x, i)) for i in range(k))
-        for x in space.universe
+        x: tuple(u(ball_of[i, masks[i][r]]) for i in range(k))
+        for r, x in enumerate(space.universe)
     }
     if len(set(images.values())) != len(images):
         raise VerificationError("tuple images are not pairwise distinct")
     for x, y in itertools.combinations(space.universe, 2):
         expected = space.d(x, y)
-        got = dist_ultra_tuples(poset, spect, images[x], images[y])
+        got = _dist_raw(spect, images[x], images[y])
         if got != expected:
             raise VerificationError(
                 f"distance of images of {x!r},{y!r} is {got}, expected {expected}"
@@ -174,19 +150,17 @@ def witness_ultra(
         raise DomainError("witness requires an embedding of the second space into the first")
     if space.spectrum != subspace.spectrum:
         raise SpectrumError("witness requires both spaces to share one spectrum")
-    bp1 = encode_ultrametric(space)
+    bp1, ball_of, masks = _encode(space)
     bp2 = encode_ultrametric(subspace)
     mapping = {}
     for b in bp2.poset.universe:
-        images = {
-            Ball(space.point_ball(f(y), space.spectrum[b.radius_index]), b.radius_index)
-            for y in b.points
-        }
+        i = b.radius_index
+        images = {masks[i][space.order.rank(f(y))] for y in b.points}
         if len(images) != 1:
             raise VerificationError(
                 f"image ball of {sorted(b.points)!r} depends on the choice of center"
             )
-        mapping[b] = images.pop()
+        mapping[b] = ball_of[i, images.pop()]
     return check_embedding(mapping, bp2.poset, bp1.poset)
 
 

@@ -90,14 +90,17 @@ def test_arrow_decide_threads_flag_changes_no_byte(files, capsys):
                            "edges": [[1, 2], [1, 3], [2, 3]]})
     k5 = files("k5.json", {"kind": "graph", "universe": [1, 2, 3, 4, 5],
                            "edges": [[a, b] for a in range(1, 6) for b in range(a + 1, 6)]})
-    outs = []
-    for threads in ("1", "4"):
-        code, out = run_main(capsys, "arrow", "decide", "--kind", "graph", "--A", edge,
-                             "--B", k3, "--C", k5, "-k", "2", "--threads", threads)
-        assert code == 0
-        outs.append(out)
-    assert outs[0].splitlines()[0] == "verdict: fails"
-    assert outs[1] == outs[0]
+    for fmt in ("text", "json"):
+        outs = []
+        for threads in ("1", "4"):
+            code, out = run_main(capsys, "arrow", "decide", "--kind", "graph", "--A", edge,
+                                 "--B", k3, "--C", k5, "-k", "2", "--threads", threads,
+                                 "--format", fmt)
+            assert code == 0
+            outs.append(out)
+        assert outs[1] == outs[0]
+    assert outs[0].startswith("{")
+    assert json.loads(outs[0])["holds"] is False
 
 
 def test_arrow_check_coloring(files, capsys):
