@@ -13,6 +13,7 @@ deterministic for a fixed seed; wall-clock timings are only emitted when
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -630,8 +631,18 @@ def build_parser() -> argparse.ArgumentParser:
     return root
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses: built on its first call, then reused.
+
+    Reuse is safe because ``parse_args`` returns a fresh namespace per call
+    and no action has a mutable default.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     rep = Reporter(args)
     try:
         result = args.handler(args, rep)

@@ -410,6 +410,8 @@ def pa_harness(
     a fresh random pair as well.  Every failure carries the trial seed that
     reproduces it.
     """
+    if trials < 1:
+        raise DomainError(f"trials must be at least 1, got {trials}")
     impl = selector_impl(selector)
     report = HarnessReport(selector=selector, seed=seed)
     fixed_embeddings = None

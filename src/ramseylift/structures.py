@@ -17,7 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Hashable, Iterable, Iterator, Mapping
 
 from .errors import BudgetError, DomainError, EmbeddingError, SpectrumError, StructureError
 from .orders import BaseOrder, compare_tuples
@@ -581,25 +581,48 @@ def to_json(s) -> dict:
     return out
 
 
+def _json_elements(value, field: str, size: int | None = None) -> tuple:
+    """A JSON list of structure elements (hashable scalars), of ``size`` items when given."""
+    if not isinstance(value, list) or size is not None and len(value) != size:
+        shape = "a list" if size is None else f"a list of {size} items"
+        raise DomainError(f"structure field {field!r}: {value!r} must be {shape}")
+    for x in value:
+        if not isinstance(x, Hashable):
+            raise DomainError(
+                f"structure field {field!r}: element {x!r} must be a string or number")
+    return tuple(value)
+
+
+def _json_entries(data: Mapping, field: str, size: int | None = None) -> list[tuple]:
+    """A list-valued field whose entries are lists of elements."""
+    entries = data.get(field, [])
+    if not isinstance(entries, list):
+        raise DomainError(f"structure field {field!r} must be a list")
+    return [_json_elements(entry, field, size) for entry in entries]
+
+
 def from_json(data: Mapping):
-    """Build and validate a structure from its JSON form."""
+    """Build and validate a structure from its JSON form.
+
+    Malformed JSON (wrong types, entries of the wrong length, unhashable
+    elements) raises a :class:`DomainError` that names the field.
+    """
+    if not isinstance(data, Mapping):
+        raise DomainError("structure JSON must be an object")
     try:
         kind = data["kind"]
-        universe = list(data["universe"])
-    except (KeyError, TypeError) as exc:
+        universe = _json_elements(data["universe"], "universe")
+    except KeyError as exc:
         raise DomainError(f"structure JSON missing field: {exc}") from None
     if kind == "graph":
-        return LinOrderedGraph.build(universe, [tuple(e) for e in data.get("edges", [])])
+        return LinOrderedGraph.build(universe, _json_entries(data, "edges"))
     if kind == "poset":
-        return LinOrderedPoset.build(universe, [tuple(p) for p in data.get("leq", [])])
+        return LinOrderedPoset.build(universe, _json_entries(data, "leq", 2))
     if kind in ("ultrametric", "metric"):
-        dist = {}
-        for entry in data.get("dist", []):
-            if len(entry) != 3:
-                raise DomainError(f"bad dist entry: {entry!r}")
-            a, b, v = entry
-            dist[(a, b)] = parse_rational(v)
+        dist = {(a, b): parse_rational(v) for a, b, v in _json_entries(data, "dist", 3)}
         spectrum = data.get("spectrum")
+        if spectrum is not None:
+            spectrum = _json_elements(spectrum, "spectrum")
         cls = ConvUltrametricSpace if kind == "ultrametric" else LinOrderedMetricSpace
         return cls.build(universe, dist, spectrum)
     raise DomainError(f"unknown structure kind {kind!r}")

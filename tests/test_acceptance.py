@@ -4,7 +4,6 @@ to see the per-criterion lines.
 """
 
 import itertools
-import json
 import os
 import random
 import subprocess
@@ -41,7 +40,13 @@ from ramseylift.structures import (
 from ramseylift.ultrametric_encoding import decode_poset_ultra
 from ramseylift.words import Alphabet, compose, count_words, enumerate_words, identity
 
-from util import all_posets_on, brute_force_embeddings, brute_force_words, is_nonneg_combination
+from util import (
+    all_posets_on,
+    brute_force_embeddings,
+    brute_force_words,
+    criterion_8_commands,
+    is_nonneg_combination,
+)
 
 A0 = Alphabet(["0"])
 A01 = Alphabet(["0", "1"])
@@ -239,56 +244,7 @@ def _run_cli(args, hashseed):
 
 def test_criterion_8_determinism(tmp_path):
     with _Stopwatch("criterion 8 (byte determinism and thread invariance)", 120.0):
-        files = {}
-        for name, payload in {
-            "point": {"kind": "poset", "universe": [1], "leq": []},
-            "chain2": {"kind": "poset", "universe": [1, 2], "leq": [[1, 2]]},
-            "chain3": {"kind": "poset", "universe": [1, 2, 3], "leq": [[1, 2], [1, 3], [2, 3]]},
-            "graph": {"kind": "graph", "universe": [1, 2, 3, 4],
-                      "edges": [[1, 2], [2, 3], [2, 4]]},
-            "sub": {"kind": "graph", "universe": [1, 2, 3], "edges": [[1, 2], [1, 3]]},
-            "upair": {"kind": "ultrametric", "universe": [1, 2], "dist": [[1, 2, "1"]],
-                      "spectrum": ["0", "1"]},
-            "upoint": {"kind": "ultrametric", "universe": [1], "dist": [], "spectrum": ["0", "1"]},
-            "metric": {"kind": "metric", "universe": [1, 2], "dist": [[1, 2, "2"]],
-                       "spectrum": ["0", "1", "2"]},
-        }.items():
-            path = tmp_path / f"{name}.json"
-            path.write_text(json.dumps(payload))
-            files[name] = str(path)
-        u16 = "0 x1 0 0 x2 0 x1 x3 x3 x4 x2 x5 x6 0 x7 x1"
-        commands = [
-            ["word", "validate", "--alphabet", "0", "--word", u16, "--format", "json"],
-            ["word", "compose", "--alphabet", "0", "--u", u16,
-             "--v", "0 x1 x2 x3 x1 x4 x5", "--format", "json"],
-            ["word", "enumerate", "--alphabet", "0,1", "-n", "3", "-m", "1", "--format", "json"],
-            ["structure", "validate", "--file", files["upair"], "--format", "json"],
-            ["structure", "embeddings", "--source", files["sub"], "--target", files["graph"],
-             "--format", "json"],
-            ["encode", "graph", "--file", files["graph"], "--format", "json"],
-            ["encode", "metric", "--file", files["metric"], "--format", "json"],
-            ["phi", "graph", "--structure", files["graph"], "--word", u16, "--format", "json"],
-            ["phi", "ultrametric", "--structure", files["upair"], "--format", "json"],
-            ["witness", "graph", "--structure", files["graph"], "--sub", files["sub"],
-             "--map", "[[1,2],[2,3],[3,4]]", "--word", u16, "--format", "json"],
-            ["witness", "metric", "--structure", files["metric"], "--sub", files["metric"],
-             "--map", "[[1,1],[2,2]]", "--format", "json"],
-            ["pa-check", "graph", "--trials", "25", "--seed", "7", "--format", "json"],
-            ["pa-check", "ultrametric", "--trials", "25", "--seed", "7", "--format", "json"],
-            ["spectrum", "check", "--values", "0,1,5", "--format", "json"],
-            ["spectrum", "tighten", "--values", "0,1,5", "--format", "json"],
-            ["arrow", "decide", "--kind", "poset", "--A", files["point"], "--B", files["chain2"],
-             "--C", files["chain3"], "-k", "2", "--seed", "7", "--threads", "1",
-             "--format", "json"],
-            ["arrow", "check-coloring", "--kind", "poset", "--A", files["point"],
-             "--B", files["chain2"], "--C", files["chain3"], "-k", "2",
-             "--coloring", "1,1,2", "--format", "json"],
-            ["arrow", "gr", "--alphabet", "0", "-n", "3", "-m", "2", "--ell", "1", "-k", "2",
-             "--format", "json"],
-            ["transfer-demo", "ultrametric", "--D", files["upair"], "--E", files["upoint"],
-             "-k", "2", "--seed", "7", "--budget-colorings", "600000", "--format", "json"],
-            ["fixture", "paper-example", "--format", "json"],
-        ]
+        commands = criterion_8_commands(tmp_path)
         for args in commands:
             first = _run_cli(args, "101")
             second = _run_cli(args, "202")

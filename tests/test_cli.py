@@ -1,14 +1,18 @@
+import argparse
 import json
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 
-from ramseylift.cli import main
+from ramseylift import cli
+from ramseylift.cli import build_parser, main
 from ramseylift.structures import from_json
 
-U16 = "0 x1 0 0 x2 0 x1 x3 x3 x4 x2 x5 x6 0 x7 x1"
+from util import U16, criterion_8_commands
+
 H7 = "0 x1 x2 x3 x1 x4 x5"
 
 POINT = {"kind": "poset", "universe": [1], "leq": []}
@@ -175,6 +179,14 @@ def test_pa_check_runs(files, capsys):
     assert "all_passed: true" in out
 
 
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_pa_check_refuses_no_trials(capsys, trials):
+    code, out = run_main(capsys, "pa-check", "graph", "--trials", trials, "--format", "json")
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "type": "DomainError", "message": f"trials must be at least 1, got {trials}"}
+
+
 def test_transfer_demo_cli(files, capsys):
     d = files("d.json", U_PAIR)
     e = files("e.json", U_POINT)
@@ -211,3 +223,114 @@ def test_byte_identical_output_across_processes(files, tmp_path):
         second = _run_subprocess(args, "2")
         assert first.returncode == second.returncode == 0, second.stderr
         assert first.stdout == second.stdout
+
+
+MALFORMED_STRUCTURES = {
+    "leq-entry-not-a-pair": ({"kind": "poset", "universe": [1, 2], "leq": [[1]]}, "'leq'"),
+    "unhashable-vertex": ({"kind": "graph", "universe": [1, [2]], "edges": []}, "'universe'"),
+    "unhashable-leq-element": ({"kind": "poset", "universe": [1, 2], "leq": [[1, [2]]]}, "'leq'"),
+    "edge-not-a-list": ({"kind": "graph", "universe": [1, 2], "edges": [5]}, "'edges'"),
+    "dist-not-a-list": ({"kind": "metric", "universe": [1, 2], "dist": 5}, "'dist'"),
+    "dist-entry-too-short": ({"kind": "metric", "universe": [1, 2], "dist": [[1, 2]]}, "'dist'"),
+    "spectrum-not-a-list": ({"kind": "ultrametric", "universe": [1], "dist": [],
+                             "spectrum": 1}, "'spectrum'"),
+    "top-level-list": ([1, 2], "structure JSON must be an object"),
+}
+
+
+@pytest.mark.parametrize("verb", ["validate", "check-coloring"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_STRUCTURES))
+def test_malformed_structure_json_is_a_domain_error(files, capsys, case, verb):
+    payload, named = MALFORMED_STRUCTURES[case]
+    bad = files("bad.json", payload)
+    if verb == "validate":
+        argv = ["structure", "validate", "--file", bad]
+    else:
+        point, chain2 = files("a.json", POINT), files("b.json", CHAIN2)
+        argv = ["arrow", "check-coloring", "--kind", "poset", "--A", point, "--B", chain2,
+                "--C", bad, "-k", "2", "--coloring", "1"]
+    code = main(argv + ["--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    error = json.loads(captured.out)["error"]
+    assert error["type"] == "DomainError"
+    assert named in error["message"]
+    assert "Traceback" not in captured.err
+
+
+# The parser is built once per process and reused by every ``main`` call.
+
+
+def test_repeated_main_calls_match_fresh_processes(tmp_path, capsys):
+    commands = criterion_8_commands(tmp_path)
+    fresh = {}
+    for args in commands:
+        proc = _run_subprocess(args, "0")
+        fresh[tuple(args)] = (proc.returncode, proc.stdout)
+    for args in commands + commands[::-1]:
+        assert run_main(capsys, *args) == fresh[tuple(args)], args
+
+
+def test_main_builds_the_parser_tree_once(monkeypatch, capsys):
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run_main(capsys, "spectrum", "check", "--values", "0,1,5")[0] == 0
+    first = len(built)
+    assert first > 1
+    for argv in (["spectrum", "tighten", "--values", "0,1,5"],
+                 ["word", "enumerate", "--alphabet", "0", "-n", "2", "-m", "1"],
+                 ["fixture", "paper-example"],
+                 ["spectrum", "check", "--values", "0,1,5"]):
+        assert run_main(capsys, *argv)[0] == 0
+    assert len(built) == first
+
+
+def test_import_builds_no_parser():
+    script = (
+        "import argparse\n"
+        "built = []\n"
+        "real_init = argparse.ArgumentParser.__init__\n"
+        "def counting_init(self, *a, **k):\n"
+        "    built.append(self)\n"
+        "    real_init(self, *a, **k)\n"
+        "argparse.ArgumentParser.__init__ = counting_init\n"
+        "import ramseylift.cli\n"
+        "print(len(built))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
+
+
+def _parsers(parser):
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _parsers(sub)
+
+
+IMMUTABLE = (type(None), bool, int, float, str, tuple, frozenset)
+
+
+def test_no_parser_action_has_a_mutable_default():
+    parsers = list(_parsers(build_parser()))
+    assert len(parsers) > 20
+    for parser in parsers:
+        for action in parser._actions:
+            assert isinstance(action.default, IMMUTABLE), (parser.prog, action.dest)
+            assert isinstance(action.const, IMMUTABLE), (parser.prog, action.dest)
+        for name, value in parser._defaults.items():
+            assert isinstance(value, (types.FunctionType, *IMMUTABLE)), (parser.prog, name)
+
+
+def test_build_parser_returns_a_fresh_parser():
+    assert build_parser() is not build_parser()

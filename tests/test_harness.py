@@ -65,6 +65,12 @@ def test_pa_harness_argument_errors():
         pa_harness("group", trials=1)
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_pa_harness_refuses_fewer_than_one_trial(trials):
+    with pytest.raises(DomainError, match="trials must be at least 1"):
+        pa_harness("graph", trials=trials)
+
+
 def test_transfer_demo_graph():
     g = LinOrderedGraph.build([1, 2], [(1, 2)])
     report = transfer_demo("graph", g, g, 2, seed=5)
