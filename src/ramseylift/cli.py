@@ -17,6 +17,7 @@ import functools
 import json
 import sys
 import time
+from collections.abc import Hashable
 from pathlib import Path
 
 from . import fixtures
@@ -26,7 +27,7 @@ from . import poset_encoding as PE
 from . import ultrametric_encoding as UE
 from . import words as W
 from .errors import BudgetError, DomainError, RamseyLiftError
-from .harness import pa_harness, transfer_demo
+from .harness import SELECTORS, pa_harness, selector_impl, transfer_demo
 from .oracle import (
     ArrowInstance,
     Budget,
@@ -40,7 +41,6 @@ from .oracle import (
 from .structures import (
     Ball,
     check_embedding,
-    enumerate_embeddings,
     format_rational,
     from_json,
     identity_embedding,
@@ -48,9 +48,6 @@ from .structures import (
     to_json,
     validate_structure,
 )
-
-STRUCT_KINDS = ("graph", "poset", "ultrametric", "metric")
-
 
 # ---------------------------------------------------------------------------
 # input helpers
@@ -68,6 +65,8 @@ def _word_source(value: str, alphabet: W.Alphabet, m=None) -> W.ParameterWord:
             return W.parse(path.read_text(), alphabet, m)
         except DomainError as exc:
             raise type(exc)(f"{path}: {exc}") from None
+        except UnicodeDecodeError:
+            raise DomainError(f"{path}: word file is not UTF-8 text") from None
     return W.parse(value, alphabet, m)
 
 
@@ -78,15 +77,33 @@ def _structure(path: str):
         raise DomainError(f"structure file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise DomainError(f"{path}: line {exc.lineno}: {exc.msg}") from None
+    except OSError as exc:
+        raise DomainError(f"cannot read structure file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise DomainError(f"{path}: structure file is not UTF-8 text") from None
     return from_json(data)
+
+
+def _kind_structure(path: str, kind: str):
+    s = _structure(path)
+    if s.kind != kind:
+        raise DomainError(f"expected a {kind} file, got {s.kind}")
+    return s
 
 
 def _rationals(spec: str) -> list:
     return [parse_rational(tok) for tok in spec.split(",") if tok != ""]
 
 
-def _int_list(spec: str) -> list[int]:
-    return [int(tok) for tok in spec.split(",") if tok != ""]
+def _int(token: str, flag: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise DomainError(f"{flag}: {token!r} is not an integer") from None
+
+
+def _int_list(spec: str, flag: str) -> list[int]:
+    return [_int(tok, flag) for tok in spec.split(",") if tok != ""]
 
 
 def _json_arg(spec: str):
@@ -180,12 +197,8 @@ def cmd_structure_validate(args, rep):
 def cmd_structure_embeddings(args, rep):
     src = _structure(args.source)
     tgt = _structure(args.target)
-    budget = _budget(args)
-    found = []
-    for e in enumerate_embeddings(src, tgt):
-        found.append([[a, b] for a, b in e.mapping])
-        if len(found) > budget.max_hom:
-            raise BudgetError(f"more than {budget.max_hom} embeddings")
+    hom = StructureCategory(src.kind).hom(src, tgt, _budget(args))
+    found = [[[a, b] for a, b in e.mapping] for e in hom]
     rep.emit(
         {"count": len(found), "embeddings": found},
         [f"count: {len(found)}"] + [" ".join(f"{a}->{b}" for a, b in e) for e in found],
@@ -193,9 +206,7 @@ def cmd_structure_embeddings(args, rep):
 
 
 def cmd_encode(args, rep):
-    s = _structure(args.file)
-    if s.kind != args.kind:
-        raise DomainError(f"expected a {args.kind} file, got {s.kind}")
+    s = _kind_structure(args.file, args.kind)
     if args.kind == "graph":
         enc = GE.encode_graph(s)
         payload = {
@@ -241,64 +252,71 @@ def cmd_encode(args, rep):
     rep.emit(payload, lines)
 
 
-def _embedding_from_pairs(pairs, src, tgt):
-    return check_embedding({a: b for a, b in pairs}, src, tgt)
+def _base_word(args) -> W.ParameterWord:
+    """The base word u that phi and witness take for a graph or a poset."""
+    if args.word is None:
+        raise DomainError(f"{args.command} {args.kind} needs --word")
+    return _word_source(args.word, _alphabet(args.alphabet))
 
 
-def _ball_poset_embedding(bp, poset, map_arg):
-    """Interpret [[ball index, element], ...] (1-based, in ball order)."""
-    elems = bp.poset.universe
+def _ball_key(key, universe):
+    """A ball given by its 1-based index, as ``encode ultrametric`` numbers it."""
+    if not isinstance(key, int):
+        raise DomainError(f"--map: ball index {key!r} is not an integer")
+    if not 1 <= key <= len(universe):
+        raise DomainError(f"ball index {key} out of range 1..{len(universe)}")
+    return universe[key - 1]
+
+
+def _level_key(key, universe):
+    """A level-poset element given as [point, level], as ``encode metric`` lists it."""
+    if not (isinstance(key, list) and len(key) == 2 and all(isinstance(x, Hashable) for x in key)):
+        raise DomainError(f"--map: {key!r} is not a [point, level] pair")
+    return tuple(key)
+
+
+# How --map names the elements of each space kind's encoded poset.
+_ENCODED_KEYS = {"ultrametric": _ball_key, "metric": _level_key}
+
+
+def _mapped_embedding(spec: str, source, target, key=None):
+    """The embedding of ``source`` into ``target`` that --map gives as a JSON
+    list of [source, target] element pairs; ``key``, when given, reads each
+    source entry as an element of ``source``."""
+    pairs = _json_arg(spec)
+    if not isinstance(pairs, list) or not all(isinstance(p, list) and len(p) == 2 for p in pairs):
+        raise DomainError(f"--map must be a JSON list of [source, target] pairs, got {spec}")
     mapping = {}
-    for idx, target in map_arg:
-        if not 1 <= idx <= len(elems):
-            raise DomainError(f"ball index {idx} out of range 1..{len(elems)}")
-        mapping[elems[idx - 1]] = target
-    return check_embedding(mapping, bp.poset, poset)
-
-
-def _level_poset_embedding(level_poset, poset, map_arg):
-    """Interpret [[[point, level], element], ...]."""
-    mapping = {}
-    for entry, target in map_arg:
-        mapping[(entry[0], entry[1])] = target
-    return check_embedding(mapping, level_poset, poset)
+    for entry, tgt in pairs:
+        src = entry if key is None else key(entry, source.universe)
+        if not (isinstance(src, Hashable) and isinstance(tgt, Hashable)):
+            raise DomainError(f"--map: {[entry, tgt]} does not pair two structure elements")
+        mapping[src] = tgt
+    return check_embedding(mapping, source, target)
 
 
 def cmd_phi(args, rep):
-    s = _structure(args.structure)
-    if s.kind != args.kind:
-        raise DomainError(f"expected a {args.kind} file, got {s.kind}")
-    if args.kind in ("graph", "poset"):
-        alphabet = _alphabet(args.alphabet)
-        u = _word_source(args.word, alphabet)
-        images = GE.phi_graph(s, u) if args.kind == "graph" else PE.phi_poset(s, u)
-        payload = {"images": [[v, sorted(img)] for v, img in images.items()]}
-        lines = [f"{v}: {' '.join(map(str, sorted(img)))}" for v, img in images.items()]
+    s = _kind_structure(args.structure, args.kind)
+    impl = selector_impl(args.kind)
+    words = impl.base_category().name == "words"
+    if words:
+        u = _base_word(args)
     else:
-        if args.kind == "ultrametric":
-            encoded = UE.encode_ultrametric(s)
-            inner = encoded.poset
-        else:
-            inner = ME.encode_metric(s)
+        inner = impl.encode(s)
         if args.poset is None:
-            poset, u = inner, identity_embedding(inner)
+            u = identity_embedding(inner)
         else:
             poset = _structure(args.poset)
             if poset.kind != "poset":
                 raise DomainError("phi target must be a poset file")
             if args.map is None:
                 raise DomainError("--map is required when --poset is given")
-            map_arg = _json_arg(args.map)
-            if args.kind == "ultrametric":
-                u = _ball_poset_embedding(encoded, poset, map_arg)
-            else:
-                u = _level_poset_embedding(inner, poset, map_arg)
-        images = (
-            UE.phi_ultra(s, poset, u)
-            if args.kind == "ultrametric"
-            else ME.phi_metric(s, poset, u)
-        )
-        payload = {"images": [[x, _render(img)] for x, img in images.items()]}
+            u = _mapped_embedding(args.map, inner, poset, _ENCODED_KEYS[args.kind])
+    images = impl.phi(s, u)
+    payload = {"images": [[x, _render(img)] for x, img in images.items()]}
+    if words:
+        lines = [f"{v}: {' '.join(map(str, sorted(img)))}" for v, img in images.items()]
+    else:
         lines = [f"{x}: {_render(img)}" for x, img in images.items()]
     rep.emit(payload, lines)
 
@@ -308,22 +326,13 @@ def cmd_witness(args, rep):
     small = _structure(args.sub)
     if big.kind != args.kind or small.kind != args.kind:
         raise DomainError(f"both structures must be of kind {args.kind}")
-    f = _embedding_from_pairs(_json_arg(args.map), small, big)
-    if args.kind in ("graph", "poset"):
-        alphabet = _alphabet(args.alphabet)
-        u = _word_source(args.word, alphabet)
-        h = (
-            GE.witness_graph(big, small, f, u)
-            if args.kind == "graph"
-            else PE.witness_poset(big, small, f, u)
-        )
+    f = _mapped_embedding(args.map, small, big)
+    impl = selector_impl(args.kind)
+    if impl.base_category().name == "words":
+        h = impl.witness(big, small, f, _base_word(args))
         rep.emit({"witness": h.text(), "n": h.n, "m": h.m}, [h.text()])
     else:
-        v = (
-            UE.witness_ultra(big, small, f)
-            if args.kind == "ultrametric"
-            else ME.witness_metric(big, small, f)
-        )
+        v = impl.witness(big, small, f, None)
         pairs = [[_render(a), _render(b)] for a, b in v.mapping]
         rep.emit(
             {"witness": pairs},
@@ -334,8 +343,8 @@ def cmd_witness(args, rep):
 def cmd_pa_check(args, rep):
     if (args.D is None) != (args.E is None):
         raise DomainError("supply both --D and --E, or neither")
-    D = _structure(args.D) if args.D else None
-    E = _structure(args.E) if args.E else None
+    D = _kind_structure(args.D, args.kind) if args.D else None
+    E = _kind_structure(args.E, args.kind) if args.E else None
     report = pa_harness(args.kind, D, E, trials=args.trials, seed=args.seed)
     payload = report.to_json()
     lines = [
@@ -391,7 +400,7 @@ def cmd_arrow_decide(args, rep):
 
 def cmd_arrow_check_coloring(args, rep):
     inst = _arrow_instance(args)
-    colors = _int_list(args.coloring)
+    colors = _int_list(args.coloring, "--coloring")
     verdict, detail = check_coloring(inst, Coloring(tuple(colors), args.k), _budget(args))
     payload = {
         "instance": {"kind": args.kind, "k": args.k},
@@ -426,19 +435,18 @@ def cmd_arrow_gr(args, rep):
 
 
 def cmd_transfer_demo(args, rep):
-    D = _structure(args.D)
-    E = _structure(args.E)
+    D = _kind_structure(args.D, args.kind)
+    E = _kind_structure(args.E, args.kind)
     C = None
     if args.C is not None:
-        if args.kind in ("graph", "poset"):
-            C = int(args.C)
+        if selector_impl(args.kind).base_category().name == "words":
+            C = _int(args.C, "--C")
         else:
             C = _structure(args.C)
-    coloring = _int_list(args.coloring) if args.coloring else None
+    coloring = _int_list(args.coloring, "--coloring") if args.coloring else None
     report = transfer_demo(
         args.kind, D, E, args.k,
         budget=_budget(args), seed=args.seed, C=C, coloring=coloring,
-        threads=args.threads,
     )
     payload = report.to_json()
     lines = [
@@ -538,13 +546,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_structure_embeddings)
 
     p = sub.add_parser("encode", help="encode a structure")
-    p.add_argument("kind", choices=STRUCT_KINDS)
+    p.add_argument("kind", choices=SELECTORS)
     p.add_argument("--file", required=True)
     _add_common(p)
     p.set_defaults(handler=cmd_encode)
 
     p = sub.add_parser("phi", help="decode a base morphism into an embedding")
-    p.add_argument("kind", choices=STRUCT_KINDS)
+    p.add_argument("kind", choices=SELECTORS)
     p.add_argument("--structure", required=True)
     p.add_argument("--word", help="base word (graph/poset kinds)")
     p.add_argument("--alphabet", default="0")
@@ -554,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_phi)
 
     p = sub.add_parser("witness", help="factorizing morphism for an embedding")
-    p.add_argument("kind", choices=STRUCT_KINDS)
+    p.add_argument("kind", choices=SELECTORS)
     p.add_argument("--structure", required=True, help="the big structure D")
     p.add_argument("--sub", required=True, help="the small structure E")
     p.add_argument("--map", required=True, help="embedding of E into D as JSON pairs")
@@ -564,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_witness)
 
     p = sub.add_parser("pa-check", help="randomized factorization suite")
-    p.add_argument("kind", choices=STRUCT_KINDS)
+    p.add_argument("kind", choices=SELECTORS)
     p.add_argument("--D", help="structure file for D")
     p.add_argument("--E", help="structure file for E")
     p.add_argument("--trials", type=int, default=200)
@@ -587,7 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="sub", required=True
     )
     p = arrow.add_parser("decide")
-    p.add_argument("--kind", choices=STRUCT_KINDS, required=True)
+    p.add_argument("--kind", choices=SELECTORS, required=True)
     p.add_argument("--A", required=True)
     p.add_argument("--B", required=True)
     p.add_argument("--C", required=True)
@@ -595,7 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(handler=cmd_arrow_decide)
     p = arrow.add_parser("check-coloring")
-    p.add_argument("--kind", choices=STRUCT_KINDS, required=True)
+    p.add_argument("--kind", choices=SELECTORS, required=True)
     p.add_argument("--A", required=True)
     p.add_argument("--B", required=True)
     p.add_argument("--C", required=True)
@@ -613,7 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_arrow_gr)
 
     p = sub.add_parser("transfer-demo", help="run the transfer pipeline end to end")
-    p.add_argument("kind", choices=STRUCT_KINDS)
+    p.add_argument("kind", choices=SELECTORS)
     p.add_argument("--D", required=True)
     p.add_argument("--E", required=True)
     p.add_argument("-k", type=int, required=True)

@@ -35,18 +35,16 @@ from .oracle import (
     decide_gr,
 )
 from .structures import (
+    DEFAULT_MAX_POINTS,
     ConvUltrametricSpace,
     Embedding,
     LinOrderedGraph,
     LinOrderedMetricSpace,
     LinOrderedPoset,
-    compose_embeddings,
     enumerate_embeddings,
     identity_embedding,
     induced_substructure,
 )
-
-SELECTORS = ("graph", "poset", "ultrametric", "metric")
 
 _GR_ALPHABET = W.Alphabet(["0"])
 
@@ -172,15 +170,7 @@ def random_metric(
 
 
 def random_structure(rng: random.Random, selector: str):
-    if selector == "graph":
-        return random_graph(rng)
-    if selector == "poset":
-        return random_poset(rng)
-    if selector == "ultrametric":
-        return random_ultrametric(rng)
-    if selector == "metric":
-        return random_metric(rng)
-    raise DomainError(f"unknown selector {selector!r}; expected one of {SELECTORS}")
+    return selector_impl(selector).random_structure(rng)
 
 
 def random_embedded_pair(rng: random.Random, selector: str):
@@ -207,97 +197,130 @@ def random_superposet_embedding(rng: random.Random, poset: LinOrderedPoset) -> E
 
 
 # ---------------------------------------------------------------------------
-# selector plumbing
+# selectors
+#
+# A selector is one encoding F into a Ramsey base category with its decoding
+# G, point map phi and factorizing witness.  Both bases answer the same
+# protocol: base_category(), encode(s), phi(s, u), witness(D, E, f, u),
+# decode(C, D, budget), premise(FE, FD, k, budget, C), random_structure(rng)
+# and random_u(rng, D).  A fifth encoding plugs in as one more table entry.
 
 
-class _WordBased:
-    alphabet = _GR_ALPHABET
+class _Selector:
+    """Filled from one encoding module's functions and a random generator;
+    a subclass fixes the base category."""
+
+    def __init__(self, encode, phi, witness, decode, random_structure):
+        self._encode = encode
+        self._phi = phi
+        self._witness = witness
+        self._decode = decode
+        self._random = random_structure
 
     def base_category(self):
-        return WordCategory(self.alphabet)
+        return self._category
 
-    def random_u(self, rng, D):
-        m = self.encode_object(D)
+    def random_structure(self, rng: random.Random):
+        return self._random(rng)
+
+
+class _WordBase(_Selector):
+    """Graphs and posets: encoded into the category of parameter words over
+    {0}; an object n decodes to the structure on the subsets of n."""
+
+    _category = WordCategory(_GR_ALPHABET)
+
+    def encode(self, s) -> int:
+        return self._encode(s).object
+
+    def phi(self, s, u) -> dict:
+        return self._phi(s, u)
+
+    def witness(self, D, E, f, u):
+        return self._witness(D, E, f, u)
+
+    def decode(self, C: int, D, budget: Budget):
+        if 2**C > budget.max_hom:
+            raise BudgetError(f"decoded structure would have 2^{C} elements")
+        return self._decode(C)
+
+    def premise(self, FE: int, FD: int, k: int, budget: Budget, C):
+        """The base object n with n -> (FD)^FE_k: ``C`` checked, or the
+        least such n probed upward from FD."""
+        n = FD if C is None else int(C)
+        while True:
+            verdict = decide_gr(_GR_ALPHABET, n, FD, FE, k, budget)
+            if verdict.holds:
+                return {"base": "words", "object": n, "counts": verdict.counts,
+                        "probed": C is None}, n
+            if C is not None:
+                raise PremiseError(
+                    f"object {n} does not arrow ({FD})^({FE})_{k}; "
+                    f"bad coloring: {list(verdict.bad_coloring.colors)}",
+                    bad_coloring=verdict.bad_coloring,
+                )
+            n += 1
+
+    def random_u(self, rng: random.Random, D) -> W.ParameterWord:
+        m = self.encode(D)
         n = m + rng.randint(0, 2)
-        return random_word(rng, self.alphabet, n, m)
-
-    def pa_equation_holds(self, D, E, f, u, witness) -> bool:
-        lhs = self.phi(D, u)
-        rhs = self.phi(E, W.compose(u, witness))
-        return all(rhs[x] == lhs[f(x)] for x in E.universe)
+        return random_word(rng, _GR_ALPHABET, n, m)
 
 
-class GraphSelector(_WordBased):
-    name = "graph"
+class _PosetBase(_Selector):
+    """Ultrametric and metric spaces: encoded into linearly ordered posets;
+    a poset decodes to the space of tuples over the shared spectrum."""
 
-    def encode_object(self, g):
-        return GE.encode_graph(g).object
+    _category = StructureCategory("poset")
 
-    def phi(self, g, u):
-        return GE.phi_graph(g, u)
+    def encode(self, s) -> LinOrderedPoset:
+        return self._encode(s)
 
-    def witness(self, D, E, f, u):
-        return GE.witness_graph(D, E, f, u)
+    def phi(self, s, u: Embedding) -> dict:
+        return self._phi(s, u.target, u)
 
+    def witness(self, D, E, f, u) -> Embedding:
+        """The witness of a space embedding does not depend on ``u``."""
+        return self._witness(D, E, f)
 
-class PosetSelector(_WordBased):
-    name = "poset"
+    def decode(self, C: LinOrderedPoset, D, budget: Budget):
+        return self._decode(C, D.spectrum, max_points=min(DEFAULT_MAX_POINTS, budget.max_hom))
 
-    def encode_object(self, p):
-        return PE.encode_poset(p).object
+    def premise(self, FE, FD, k: int, budget: Budget, C):
+        """A poset that arrows the encoded pair: ``C`` checked, or the least
+        powerset poset probed upward from P(1)."""
+        n = 1
+        while True:
+            candidate = PE.powerset_poset(n) if C is None else C
+            verdict = decide_arrow(ArrowInstance(self._category, FE, FD, candidate, k), budget)
+            if verdict.holds:
+                label = {"powerset_poset": n} if C is None else "given"
+                return {"base": "poset", "object": label, "counts": verdict.counts,
+                        "probed": C is None}, candidate
+            if C is not None:
+                raise PremiseError(
+                    "the supplied poset does not arrow the encoded pair; "
+                    f"bad coloring: {list(verdict.bad_coloring.colors)}",
+                    bad_coloring=verdict.bad_coloring,
+                )
+            n += 1
 
-    def phi(self, p, u):
-        return PE.phi_poset(p, u)
-
-    def witness(self, D, E, f, u):
-        return PE.witness_poset(D, E, f, u)
-
-
-class _PosetBased:
-    def base_category(self):
-        return StructureCategory("poset")
-
-    def random_u(self, rng, D):
-        return random_superposet_embedding(rng, self.encode_poset(D))
-
-    def pa_equation_holds(self, D, E, f, u, witness) -> bool:
-        lhs = self.phi(D, u.target, u)
-        rhs = self.phi(E, u.target, compose_embeddings(u, witness))
-        return all(rhs[x] == lhs[f(x)] for x in E.universe)
-
-
-class UltrametricSelector(_PosetBased):
-    name = "ultrametric"
-
-    def encode_poset(self, space):
-        return UE.encode_ultrametric(space).poset
-
-    def phi(self, space, poset, u):
-        return UE.phi_ultra(space, poset, u)
-
-    def witness(self, D, E, f, u=None):
-        return UE.witness_ultra(D, E, f)
-
-
-class MetricSelector(_PosetBased):
-    name = "metric"
-
-    def encode_poset(self, space):
-        return ME.encode_metric(space)
-
-    def phi(self, space, poset, u):
-        return ME.phi_metric(space, poset, u)
-
-    def witness(self, D, E, f, u=None):
-        return ME.witness_metric(D, E, f)
+    def random_u(self, rng: random.Random, D) -> Embedding:
+        return random_superposet_embedding(rng, self.encode(D))
 
 
 _SELECTOR_IMPLS = {
-    "graph": GraphSelector(),
-    "poset": PosetSelector(),
-    "ultrametric": UltrametricSelector(),
-    "metric": MetricSelector(),
+    "graph": _WordBase(GE.encode_graph, GE.phi_graph, GE.witness_graph,
+                       GE.powerset_graph, random_graph),
+    "poset": _WordBase(PE.encode_poset, PE.phi_poset, PE.witness_poset,
+                       PE.powerset_poset, random_poset),
+    "ultrametric": _PosetBase(lambda s: UE.encode_ultrametric(s).poset, UE.phi_ultra,
+                              UE.witness_ultra, UE.decode_poset_ultra, random_ultrametric),
+    "metric": _PosetBase(ME.encode_metric, ME.phi_metric, ME.witness_metric,
+                         ME.decode_poset_metric, random_metric),
 }
+
+SELECTORS = tuple(_SELECTOR_IMPLS)
 
 
 def selector_impl(name: str):
@@ -305,6 +328,11 @@ def selector_impl(name: str):
         return _SELECTOR_IMPLS[name]
     except KeyError:
         raise DomainError(f"unknown selector {name!r}; expected one of {SELECTORS}") from None
+
+
+def _share_spectrum(D, E) -> bool:
+    """Whether D and E are over one spectrum (graphs and posets have none)."""
+    return getattr(D, "spectrum", None) == getattr(E, "spectrum", None)
 
 
 # ---------------------------------------------------------------------------
@@ -361,36 +389,21 @@ class HarnessReport:
 
 def _run_trial(impl, index: int, trial_seed: str, D, E, f, rng) -> TrialRecord:
     rec = TrialRecord(index, trial_seed, False, False, False)
-    if isinstance(impl, _WordBased):
-        u = impl.random_u(rng, D)
-        try:
-            impl.phi(D, u)
-            rec.phi_ok = True
-        except VerificationError as exc:
-            rec.error = f"phi: {exc}"
-            return rec
-        try:
-            witness = impl.witness(D, E, f, u)
-            rec.witness_ok = True
-        except (VerificationError, DomainError) as exc:
-            rec.error = f"witness: {exc}"
-            return rec
-        rec.equation_ok = impl.pa_equation_holds(D, E, f, u, witness)
-    else:
-        u = impl.random_u(rng, D)
-        try:
-            impl.phi(D, u.target, u)
-            rec.phi_ok = True
-        except VerificationError as exc:
-            rec.error = f"phi: {exc}"
-            return rec
-        try:
-            witness = impl.witness(D, E, f)
-            rec.witness_ok = True
-        except (VerificationError, DomainError) as exc:
-            rec.error = f"witness: {exc}"
-            return rec
-        rec.equation_ok = impl.pa_equation_holds(D, E, f, u, witness)
+    u = impl.random_u(rng, D)
+    try:
+        lhs = impl.phi(D, u)
+        rec.phi_ok = True
+    except VerificationError as exc:
+        rec.error = f"phi: {exc}"
+        return rec
+    try:
+        witness = impl.witness(D, E, f, u)
+        rec.witness_ok = True
+    except (VerificationError, DomainError) as exc:
+        rec.error = f"witness: {exc}"
+        return rec
+    rhs = impl.phi(E, impl.base_category().compose(u, witness))
+    rec.equation_ok = all(rhs[x] == lhs[f(x)] for x in E.universe)
     if not rec.equation_ok:
         rec.error = "equation: images differ"
     return rec
@@ -418,7 +431,7 @@ def pa_harness(
     if (D is None) != (E is None):
         raise DomainError("supply both D and E, or neither")
     if D is not None:
-        if selector in ("ultrametric", "metric") and D.spectrum != E.spectrum:
+        if not _share_spectrum(D, E):
             raise DomainError("D and E must share one spectrum")
         fixed_embeddings = list(enumerate_embeddings(E, D))
         if not fixed_embeddings:
@@ -484,7 +497,6 @@ def transfer_demo(
     seed: int = 0,
     C=None,
     coloring=None,
-    threads: int = 1,
 ) -> TransferReport:
     """Execute the color-lifting pipeline end to end and re-check each step.
 
@@ -501,59 +513,16 @@ def transfer_demo(
         raise DomainError(f"number of colors must be at least 2, got {k}")
     rng = random.Random(f"{seed}:transfer")
     struct_cat = StructureCategory(selector)
-
-    if isinstance(impl, _WordBased):
-        m_obj = impl.encode_object(D)
-        ell_obj = impl.encode_object(E)
-        premise, n = _gr_premise(impl, m_obj, ell_obj, k, budget, C)
-        if 2**n > budget.max_hom:
-            raise BudgetError(f"decoded structure would have 2^{n} elements")
-        G_C = GE.powerset_graph(n) if selector == "graph" else PE.powerset_poset(n)
-        base_cat = impl.base_category()
-        hom_FE_C = base_cat.hom(ell_obj, n, budget)
-        hom_FD_C = base_cat.hom(m_obj, n, budget)
-        hom_FE_FD = base_cat.hom(ell_obj, m_obj, budget)
-
-        def phi_E(u):
-            return impl.phi(E, u)
-
-        def phi_D(u):
-            return impl.phi(D, u)
-
-        def compose_base(u, v):
-            return W.compose(u, v)
-
-        def witness_for(f, u):
-            return impl.witness(D, E, f, u)
-
-    else:
-        FD = impl.encode_poset(D)
-        FE = impl.encode_poset(E)
-        spectrum = D.spectrum
-        if E.spectrum != spectrum:
-            raise DomainError("transfer requires D and E over one spectrum")
-        base_cat = impl.base_category()
-        premise, C_poset = _poset_premise(base_cat, FE, FD, k, budget, C, threads)
-        max_pts = min(UE.DEFAULT_MAX_POINTS, budget.max_hom)
-        if selector == "ultrametric":
-            G_C = UE.decode_poset_ultra(C_poset, spectrum, max_points=max_pts)
-        else:
-            G_C = ME.decode_poset_metric(C_poset, spectrum, max_points=max_pts)
-        hom_FE_C = base_cat.hom(FE, C_poset, budget)
-        hom_FD_C = base_cat.hom(FD, C_poset, budget)
-        hom_FE_FD = base_cat.hom(FE, FD, budget)
-
-        def phi_E(u):
-            return impl.phi(E, C_poset, u)
-
-        def phi_D(u):
-            return impl.phi(D, C_poset, u)
-
-        def compose_base(u, v):
-            return compose_embeddings(u, v)
-
-        def witness_for(f, u):
-            return impl.witness(D, E, f)
+    base_cat = impl.base_category()
+    FD = impl.encode(D)
+    FE = impl.encode(E)
+    if not _share_spectrum(D, E):
+        raise DomainError("transfer requires D and E over one spectrum")
+    premise, C = impl.premise(FE, FD, k, budget, C)
+    G_C = impl.decode(C, D, budget)
+    hom_FE_C = base_cat.hom(FE, C, budget)
+    hom_FD_C = base_cat.hom(FD, C, budget)
+    hom_FE_FD = base_cat.hom(FE, FD, budget)
 
     hom_E_GC = struct_cat.hom(E, G_C, budget)
     if not hom_E_GC:
@@ -569,13 +538,13 @@ def transfer_demo(
 
     pulled = []
     for u in hom_FE_C:
-        idx = _match_index(hom_E_GC, phi_E(u), E, G_C)
+        idx = _match_index(hom_E_GC, impl.phi(E, u), E, G_C)
         pulled.append(colors[idx])
 
     index_of = {m: i for i, m in enumerate(hom_FE_C)}
     mono_index = mono_color = None
     for i, u in enumerate(hom_FD_C):
-        met = {pulled[index_of[compose_base(u, v)]] for v in hom_FE_FD}
+        met = {pulled[index_of[base_cat.compose(u, v)]] for v in hom_FE_FD}
         if len(met) <= 1:
             mono_index = i
             mono_color = met.pop() if met else 1
@@ -586,18 +555,18 @@ def transfer_demo(
         )
 
     u_star = hom_FD_C[mono_index]
-    phi_image = phi_D(u_star)
+    phi_image = impl.phi(D, u_star)
     big = Embedding(D, G_C, tuple((x, phi_image[x]) for x in D.universe))
     composites = []
     verified = True
     for f in struct_cat.hom(E, D, budget):
-        comp = compose_embeddings(big, f)
+        comp = struct_cat.compose(big, f)
         comp_idx = _match_index(hom_E_GC, comp.as_dict, E, G_C)
         color = colors[comp_idx]
-        v = witness_for(f, u_star)
-        uv = compose_base(u_star, v)
+        v = impl.witness(D, E, f, u_star)
+        uv = base_cat.compose(u_star, v)
         lifted_color = pulled[index_of[uv]]
-        factors = _match_index(hom_E_GC, phi_E(uv), E, G_C) == comp_idx
+        factors = _match_index(hom_E_GC, impl.phi(E, uv), E, G_C) == comp_idx
         composites.append(
             {
                 "f": struct_cat.morphism_json(f),
@@ -621,52 +590,3 @@ def transfer_demo(
         composites=composites,
         verified=verified,
     )
-
-
-def _gr_premise(impl, m_obj: int, ell_obj: int, k: int, budget: Budget, C):
-    if C is not None:
-        n = int(C)
-        verdict = decide_gr(impl.alphabet, n, m_obj, ell_obj, k, budget)
-        if not verdict.holds:
-            raise PremiseError(
-                f"object {n} does not arrow ({m_obj})^({ell_obj})_{k}; "
-                f"bad coloring: {list(verdict.bad_coloring.colors)}",
-                bad_coloring=verdict.bad_coloring,
-            )
-        return {"base": "words", "object": n, "counts": verdict.counts, "probed": False}, n
-    n = m_obj
-    while True:
-        verdict = decide_gr(impl.alphabet, n, m_obj, ell_obj, k, budget)
-        if verdict.holds:
-            return {"base": "words", "object": n, "counts": verdict.counts, "probed": True}, n
-        n += 1
-
-
-def _poset_premise(base_cat, FE, FD, k: int, budget: Budget, C, threads: int):
-    if C is not None:
-        verdict = decide_arrow(ArrowInstance(base_cat, FE, FD, C, k), budget, threads)
-        if not verdict.holds:
-            raise PremiseError(
-                "the supplied poset does not arrow the encoded pair; "
-                f"bad coloring: {list(verdict.bad_coloring.colors)}",
-                bad_coloring=verdict.bad_coloring,
-            )
-        return (
-            {"base": "poset", "object": "given", "counts": verdict.counts, "probed": False},
-            C,
-        )
-    n = 1
-    while True:
-        candidate = PE.powerset_poset(n)
-        verdict = decide_arrow(ArrowInstance(base_cat, FE, FD, candidate, k), budget, threads)
-        if verdict.holds:
-            return (
-                {
-                    "base": "poset",
-                    "object": {"powerset_poset": n},
-                    "counts": verdict.counts,
-                    "probed": True,
-                },
-                candidate,
-            )
-        n += 1

@@ -198,9 +198,6 @@ class LinOrderedMetricSpace(_SpaceMixin):
         return _build_space(cls, points, dist, spectrum)
 
 
-STRUCTURE_KINDS = ("graph", "poset", "ultrametric", "metric")
-
-
 # ---------------------------------------------------------------------------
 # validation
 

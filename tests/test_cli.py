@@ -9,6 +9,7 @@ import pytest
 
 from ramseylift import cli
 from ramseylift.cli import build_parser, main
+from ramseylift.harness import SELECTORS
 from ramseylift.structures import from_json
 
 from util import U16, criterion_8_commands
@@ -334,3 +335,112 @@ def test_no_parser_action_has_a_mutable_default():
 
 def test_build_parser_returns_a_fresh_parser():
     assert build_parser() is not build_parser()
+
+
+# Input that used to end in a traceback is a domain error naming what is wrong.
+
+
+def _error(capsys, *argv):
+    code = main([*argv, "--format", "json"])
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    return code, json.loads(captured.out)["error"]
+
+
+def test_unreadable_input_file_is_a_domain_error(files, tmp_path, capsys):
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b"\xff\xfe\x00")
+    for argv, named in (
+        (["structure", "validate", "--file", str(tmp_path)], "cannot read structure file"),
+        (["structure", "validate", "--file", str(latin)], "structure file is not UTF-8"),
+        (["word", "validate", "--alphabet", "0", "--word", str(latin)], "word file is not UTF-8"),
+    ):
+        code, error = _error(capsys, *argv)
+        assert code == 1
+        assert error["type"] == "DomainError" and named in error["message"]
+
+
+def test_non_integer_flags_are_domain_errors(files, capsys):
+    a, b, c = files("a.json", POINT), files("b.json", CHAIN2), files("c.json", CHAIN3)
+    g = files("g.json", {"kind": "graph", "universe": [1], "edges": []})
+    cases = [
+        (["arrow", "check-coloring", "--kind", "poset", "--A", a, "--B", b, "--C", c,
+          "-k", "2", "--coloring", "1,a"], "--coloring: 'a'"),
+        (["transfer-demo", "poset", "--D", b, "--E", b, "-k", "2", "--coloring", "1,x"],
+         "--coloring: 'x'"),
+        (["transfer-demo", "graph", "--D", g, "--E", g, "-k", "2", "--C", "x"], "--C: 'x'"),
+    ]
+    for argv, named in cases:
+        code, error = _error(capsys, *argv)
+        assert code == 1 and error["type"] == "DomainError"
+        assert error["message"] == f"{named} is not an integer"
+
+
+METRIC = {"kind": "metric", "universe": [1, 2], "dist": [[1, 2, "2"]],
+          "spectrum": ["0", "1", "2"]}
+
+
+@pytest.mark.parametrize("kind, payload, spec", [
+    ("metric", METRIC, "5"),
+    ("metric", METRIC, "[[1]]"),
+    ("metric", METRIC, "[[1,2]]"),
+    ("metric", METRIC, '[[[1,{"a":0}],2]]'),
+    ("metric", METRIC, "[[[1,0],[2]]]"),
+    ("ultrametric", U_PAIR, '[["a",1]]'),
+    ("ultrametric", U_PAIR, "{}"),
+])
+def test_malformed_phi_map_is_a_domain_error(files, capsys, kind, payload, spec):
+    s = files("s.json", payload)
+    target = files("t.json", CHAIN3)
+    code, error = _error(capsys, "phi", kind, "--structure", s, "--poset", target, "--map", spec)
+    assert code == 1 and error["type"] == "DomainError"
+    assert "--map" in error["message"]
+
+
+@pytest.mark.parametrize("spec", ["5", "[[1]]", "[[1,2,3]]", "[[[1],2]]", "[[1,[2]]]"])
+def test_malformed_witness_map_is_a_domain_error(files, capsys, spec):
+    g = files("g.json", GRAPH)
+    code, error = _error(capsys, "witness", "graph", "--structure", g, "--sub", g,
+                         "--map", spec, "--word", U16)
+    assert code == 1 and error["type"] == "DomainError"
+    assert "--map" in error["message"]
+
+
+@pytest.mark.parametrize("verb", ["phi", "witness"])
+@pytest.mark.parametrize("kind, payload", [("graph", GRAPH), ("poset", CHAIN2)])
+def test_word_base_needs_a_word(files, capsys, verb, kind, payload):
+    s = files("s.json", payload)
+    argv = [verb, kind, "--structure", s]
+    if verb == "witness":
+        argv += ["--sub", s, "--map", json.dumps([[x, x] for x in payload["universe"]])]
+    code, error = _error(capsys, *argv)
+    assert code == 1
+    assert error == {"type": "DomainError", "message": f"{verb} {kind} needs --word"}
+
+
+@pytest.mark.parametrize("verb", ["pa-check", "transfer-demo"])
+def test_structures_of_another_kind_are_refused(files, capsys, verb):
+    p = files("p.json", CHAIN2)
+    argv = [verb, "graph", "--D", p, "--E", p] + (["-k", "2"] if verb == "transfer-demo" else [])
+    code, error = _error(capsys, *argv)
+    assert code == 1
+    assert error == {"type": "DomainError", "message": "expected a graph file, got poset"}
+
+
+def test_structure_embeddings_refuses_a_hom_set_over_budget(files, capsys):
+    a, c = files("a.json", POINT), files("c.json", CHAIN3)
+    code, error = _error(capsys, "structure", "embeddings", "--source", a, "--target", c,
+                         "--budget-hom", "2")
+    assert code == 2
+    assert error == {"type": "BudgetError",
+                     "message": "hom set exceeds budget of 2 morphisms"}
+    code, out = run_main(capsys, "structure", "embeddings", "--source", a, "--target", c,
+                         "--budget-hom", "3")
+    assert code == 0 and out.splitlines()[0] == "count: 3"
+
+
+def test_every_kind_choice_is_the_selector_table():
+    for parser in _parsers(build_parser()):
+        for action in parser._actions:
+            if action.dest == "kind":
+                assert tuple(action.choices) == SELECTORS, parser.prog
