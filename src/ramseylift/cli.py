@@ -383,7 +383,7 @@ def _arrow_instance(args):
 
 def cmd_arrow_decide(args, rep):
     inst = _arrow_instance(args)
-    verdict = decide_arrow(inst, _budget(args), threads=args.threads)
+    verdict = decide_arrow(inst, _budget(args))
     payload = {
         "instance": {"kind": args.kind, "k": args.k},
         "seed": args.seed,
@@ -487,17 +487,27 @@ def cmd_fixture(args, rep):
 # parser
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+# Flags a verb declares only when its handler reads them.
+_OPTIONAL_FLAGS = {
+    "--seed": {"type": int, "default": 0,
+               "help": "seed for all randomized steps (default 0)"},
+    "--threads": {"type": int, "default": 1,
+                  "help": "accepted for compatibility; has no effect (the search is serial)"},
+    "--budget-hom": {"type": int, "default": 10_000,
+                     "help": "largest hom set the oracle will enumerate"},
+    "--budget-colorings": {"type": int, "default": 2_000_000,
+                           "help": "largest number of colorings the oracle will exhaust"},
+}
+_BUDGET_FLAGS = ("--budget-hom", "--budget-colorings")
+
+
+def _add_common(p: argparse.ArgumentParser, *flags: str) -> None:
+    """--format and --timings, which every verb takes, and ``flags`` from
+    _OPTIONAL_FLAGS."""
     p.add_argument("--format", choices=("text", "json"), default="text",
                    help="output format (default text)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for all randomized steps (default 0)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for compatibility; has no effect (the search is serial)")
-    p.add_argument("--budget-hom", type=int, default=10_000,
-                   help="largest hom set the oracle will enumerate")
-    p.add_argument("--budget-colorings", type=int, default=2_000_000,
-                   help="largest number of colorings the oracle will exhaust")
+    for flag in flags:
+        p.add_argument(flag, **_OPTIONAL_FLAGS[flag])
     p.add_argument("--timings", action="store_true",
                    help="include wall_time_ms in JSON output (breaks byte determinism)")
 
@@ -542,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = structure.add_parser("embeddings")
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
-    _add_common(p)
+    _add_common(p, *_BUDGET_FLAGS)
     p.set_defaults(handler=cmd_structure_embeddings)
 
     p = sub.add_parser("encode", help="encode a structure")
@@ -576,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--D", help="structure file for D")
     p.add_argument("--E", help="structure file for E")
     p.add_argument("--trials", type=int, default=200)
-    _add_common(p)
+    _add_common(p, "--seed")
     p.set_defaults(handler=cmd_pa_check)
 
     spectrum = sub.add_parser("spectrum", help="tight spectra").add_subparsers(
@@ -600,7 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--B", required=True)
     p.add_argument("--C", required=True)
     p.add_argument("-k", type=int, required=True)
-    _add_common(p)
+    _add_common(p, "--seed", "--threads", *_BUDGET_FLAGS)
     p.set_defaults(handler=cmd_arrow_decide)
     p = arrow.add_parser("check-coloring")
     p.add_argument("--kind", choices=SELECTORS, required=True)
@@ -609,7 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--C", required=True)
     p.add_argument("-k", type=int, required=True)
     p.add_argument("--coloring", required=True, help="comma separated colors 1..k")
-    _add_common(p)
+    _add_common(p, *_BUDGET_FLAGS)
     p.set_defaults(handler=cmd_arrow_check_coloring)
     p = arrow.add_parser("gr")
     p.add_argument("--alphabet", required=True)
@@ -617,7 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-m", type=int, required=True)
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("-k", type=int, required=True)
-    _add_common(p)
+    _add_common(p, *_BUDGET_FLAGS)
     p.set_defaults(handler=cmd_arrow_gr)
 
     p = sub.add_parser("transfer-demo", help="run the transfer pipeline end to end")
@@ -627,7 +637,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", type=int, required=True)
     p.add_argument("--C", help="base object: an integer (graph/poset) or poset file")
     p.add_argument("--coloring", help="explicit coloring of hom(E, G(C))")
-    _add_common(p)
+    _add_common(p, "--seed", "--threads", *_BUDGET_FLAGS)
     p.set_defaults(handler=cmd_transfer_demo)
 
     fixture = sub.add_parser("fixture", help="pinned end-to-end example")

@@ -29,10 +29,10 @@ from .oracle import (
     ArrowInstance,
     Budget,
     DEFAULT_BUDGET,
+    CompositeTable,
     StructureCategory,
     WordCategory,
     decide_arrow,
-    decide_gr,
 )
 from .structures import (
     DEFAULT_MAX_POINTS,
@@ -208,7 +208,8 @@ def random_superposet_embedding(rng: random.Random, poset: LinOrderedPoset) -> E
 
 class _Selector:
     """Filled from one encoding module's functions and a random generator;
-    a subclass fixes the base category."""
+    a subclass fixes the base category and, for the premise, the (label,
+    object) candidates ``_probes`` and ``_given`` and the ``_refusal`` text."""
 
     def __init__(self, encode, phi, witness, decode, random_structure):
         self._encode = encode
@@ -223,12 +224,28 @@ class _Selector:
     def random_structure(self, rng: random.Random):
         return self._random(rng)
 
+    def premise(self, FE, FD, k: int, budget: Budget, C):
+        """A base object C with C -> (FD)^FE_k: ``C`` checked when given,
+        else the first of the probe sequence that arrows."""
+        probes = self._probes(FD) if C is None else [self._given(C, FD)]
+        for label, candidate in probes:
+            verdict = decide_arrow(ArrowInstance(self._category, FE, FD, candidate, k), budget)
+            if verdict.holds:
+                return {"base": self._category.name, "object": label, "counts": verdict.counts,
+                        "probed": C is None}, candidate
+        raise PremiseError(
+            self._refusal.format(C=candidate, FD=FD, FE=FE, k=k)
+            + f"; bad coloring: {list(verdict.bad_coloring.colors)}",
+            bad_coloring=verdict.bad_coloring,
+        )
+
 
 class _WordBase(_Selector):
     """Graphs and posets: encoded into the category of parameter words over
     {0}; an object n decodes to the structure on the subsets of n."""
 
     _category = WordCategory(_GR_ALPHABET)
+    _refusal = "object {C} does not arrow ({FD})^({FE})_{k}"
 
     def encode(self, s) -> int:
         return self._encode(s).object
@@ -244,22 +261,15 @@ class _WordBase(_Selector):
             raise BudgetError(f"decoded structure would have 2^{C} elements")
         return self._decode(C)
 
-    def premise(self, FE: int, FD: int, k: int, budget: Budget, C):
-        """The base object n with n -> (FD)^FE_k: ``C`` checked, or the
-        least such n probed upward from FD."""
-        n = FD if C is None else int(C)
-        while True:
-            verdict = decide_gr(_GR_ALPHABET, n, FD, FE, k, budget)
-            if verdict.holds:
-                return {"base": "words", "object": n, "counts": verdict.counts,
-                        "probed": C is None}, n
-            if C is not None:
-                raise PremiseError(
-                    f"object {n} does not arrow ({FD})^({FE})_{k}; "
-                    f"bad coloring: {list(verdict.bad_coloring.colors)}",
-                    bad_coloring=verdict.bad_coloring,
-                )
-            n += 1
+    def _probes(self, FD: int):
+        """The objects n = FD, FD+1, ...; no smaller one has an FD-parameter word."""
+        return ((n, n) for n in itertools.count(FD))
+
+    def _given(self, C, FD: int):
+        n = int(C)
+        if n < FD:
+            raise DomainError(f"no word with {FD} parameters and length {n} exists")
+        return n, n
 
     def random_u(self, rng: random.Random, D) -> W.ParameterWord:
         m = self.encode(D)
@@ -272,6 +282,7 @@ class _PosetBase(_Selector):
     a poset decodes to the space of tuples over the shared spectrum."""
 
     _category = StructureCategory("poset")
+    _refusal = "the supplied poset does not arrow the encoded pair"
 
     def encode(self, s) -> LinOrderedPoset:
         return self._encode(s)
@@ -286,24 +297,12 @@ class _PosetBase(_Selector):
     def decode(self, C: LinOrderedPoset, D, budget: Budget):
         return self._decode(C, D.spectrum, max_points=min(DEFAULT_MAX_POINTS, budget.max_hom))
 
-    def premise(self, FE, FD, k: int, budget: Budget, C):
-        """A poset that arrows the encoded pair: ``C`` checked, or the least
-        powerset poset probed upward from P(1)."""
-        n = 1
-        while True:
-            candidate = PE.powerset_poset(n) if C is None else C
-            verdict = decide_arrow(ArrowInstance(self._category, FE, FD, candidate, k), budget)
-            if verdict.holds:
-                label = {"powerset_poset": n} if C is None else "given"
-                return {"base": "poset", "object": label, "counts": verdict.counts,
-                        "probed": C is None}, candidate
-            if C is not None:
-                raise PremiseError(
-                    "the supplied poset does not arrow the encoded pair; "
-                    f"bad coloring: {list(verdict.bad_coloring.colors)}",
-                    bad_coloring=verdict.bad_coloring,
-                )
-            n += 1
+    def _probes(self, FD):
+        """The powerset posets P(1), P(2), ..."""
+        return (({"powerset_poset": n}, PE.powerset_poset(n)) for n in itertools.count(1))
+
+    def _given(self, C: LinOrderedPoset, FD):
+        return "given", C
 
     def random_u(self, rng: random.Random, D) -> Embedding:
         return random_superposet_embedding(rng, self.encode(D))
@@ -328,6 +327,13 @@ def selector_impl(name: str):
         return _SELECTOR_IMPLS[name]
     except KeyError:
         raise DomainError(f"unknown selector {name!r}; expected one of {SELECTORS}") from None
+
+
+def _check_kind(selector: str, **structures) -> None:
+    """Refuse a structure that is not of the selector's kind."""
+    for name, s in structures.items():
+        if s.kind != selector:
+            raise DomainError(f"{name} must be of kind {selector}, got {s.kind}")
 
 
 def _share_spectrum(D, E) -> bool:
@@ -431,6 +437,7 @@ def pa_harness(
     if (D is None) != (E is None):
         raise DomainError("supply both D and E, or neither")
     if D is not None:
+        _check_kind(selector, D=D, E=E)
         if not _share_spectrum(D, E):
             raise DomainError("D and E must share one spectrum")
         fixed_embeddings = list(enumerate_embeddings(E, D))
@@ -480,14 +487,6 @@ class TransferReport:
         }
 
 
-def _match_index(enumerated: list[Embedding], mapping: dict, source, target) -> int:
-    probe = Embedding(source, target, tuple((x, mapping[x]) for x in source.universe))
-    for i, e in enumerate(enumerated):
-        if e == probe:
-            return i
-    raise VerificationError("an encoded morphism is missing from the enumerated hom set")
-
-
 def transfer_demo(
     selector: str,
     D,
@@ -507,12 +506,14 @@ def transfer_demo(
     composite colors verified equal.
     """
     impl = selector_impl(selector)
-    if not any(True for _ in enumerate_embeddings(E, D)):
+    _check_kind(selector, D=D, E=E)
+    struct_cat = StructureCategory(selector)
+    hom_E_D = struct_cat.hom(E, D, budget)
+    if not hom_E_D:
         raise DomainError("E does not embed into D")
     if k < 2:
         raise DomainError(f"number of colors must be at least 2, got {k}")
     rng = random.Random(f"{seed}:transfer")
-    struct_cat = StructureCategory(selector)
     base_cat = impl.base_category()
     FD = impl.encode(D)
     FE = impl.encode(E)
@@ -522,11 +523,22 @@ def transfer_demo(
     G_C = impl.decode(C, D, budget)
     hom_FE_C = base_cat.hom(FE, C, budget)
     hom_FD_C = base_cat.hom(FD, C, budget)
-    hom_FE_FD = base_cat.hom(FE, FD, budget)
+    table = CompositeTable(base_cat, hom_FE_C, hom_FD_C, base_cat.hom(FE, FD, budget))
 
     hom_E_GC = struct_cat.hom(E, G_C, budget)
     if not hom_E_GC:
         raise VerificationError("E does not embed into the decoded structure")
+    position = {e.image(): i for i, e in enumerate(hom_E_GC)}
+
+    def index_in_hom_E_GC(images: dict) -> int:
+        """Index in hom(E, G(C)) of the embedding that sends x to images[x]."""
+        try:
+            return position[tuple(images[x] for x in E.universe)]
+        except KeyError:
+            raise VerificationError(
+                "an encoded morphism is missing from the enumerated hom set"
+            ) from None
+
     if coloring is None:
         colors = [rng.randint(1, k) for _ in hom_E_GC]
     else:
@@ -536,19 +548,10 @@ def transfer_demo(
                 f"coloring must assign 1..{k} to all {len(hom_E_GC)} morphisms of hom(E, G(C))"
             )
 
-    pulled = []
-    for u in hom_FE_C:
-        idx = _match_index(hom_E_GC, impl.phi(E, u), E, G_C)
-        pulled.append(colors[idx])
-
-    index_of = {m: i for i, m in enumerate(hom_FE_C)}
-    mono_index = mono_color = None
-    for i, u in enumerate(hom_FD_C):
-        met = {pulled[index_of[base_cat.compose(u, v)]] for v in hom_FE_FD}
-        if len(met) <= 1:
-            mono_index = i
-            mono_color = met.pop() if met else 1
-            break
+    # phi(E, .) once per base morphism: the composites u* . v below are among them
+    phi_index = [index_in_hom_E_GC(impl.phi(E, u)) for u in hom_FE_C]
+    pulled = [colors[i] for i in phi_index]
+    mono_index, mono_color = table.first_mono(pulled)
     if mono_index is None:
         raise VerificationError(
             "no monochromatic base morphism exists although the premise arrow holds"
@@ -559,14 +562,14 @@ def transfer_demo(
     big = Embedding(D, G_C, tuple((x, phi_image[x]) for x in D.universe))
     composites = []
     verified = True
-    for f in struct_cat.hom(E, D, budget):
+    for f in hom_E_D:
         comp = struct_cat.compose(big, f)
-        comp_idx = _match_index(hom_E_GC, comp.as_dict, E, G_C)
+        comp_idx = index_in_hom_E_GC(comp.as_dict)
         color = colors[comp_idx]
         v = impl.witness(D, E, f, u_star)
-        uv = base_cat.compose(u_star, v)
-        lifted_color = pulled[index_of[uv]]
-        factors = _match_index(hom_E_GC, impl.phi(E, uv), E, G_C) == comp_idx
+        uv_index = table.index[base_cat.compose(u_star, v)]
+        lifted_color = pulled[uv_index]
+        factors = phi_index[uv_index] == comp_idx
         composites.append(
             {
                 "f": struct_cat.morphism_json(f),

@@ -17,7 +17,6 @@ categories and for the parameter-word category.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -37,7 +36,6 @@ class Budget:
 
     max_hom: int = 10_000
     max_colorings: int = 2_000_000
-    wall_ms: int | None = None
 
 
 DEFAULT_BUDGET = Budget()
@@ -47,7 +45,6 @@ class StructureCategory:
     """Structures of one kind with embeddings as morphisms."""
 
     def __init__(self, kind: str):
-        self.kind = kind
         self.name = kind
 
     def hom(self, a, b, budget: Budget = DEFAULT_BUDGET) -> list[Embedding]:
@@ -190,14 +187,14 @@ def _mono_masks(digit_masks, low, k: int, full: int) -> list[int]:
     return out
 
 
-def _first_bad_rank(comp_sets, k: int, n: int, deadline: float | None) -> int | None:
+def _first_bad_rank(comp_sets, k: int, n: int) -> int | None:
     """Gray rank of the first coloring under which no candidate is
     monochromatic, or None when there is none.
 
     Digits below b are decided k^b colorings at a time: bit r of ``good``
     stands for rank block * k^b + r, and each candidate whose high
     composites share a color c clears the ranks where its low composites
-    are all c as well.  The wall-clock budget is checked after each block.
+    are all c as well.
     """
     b = 0
     while b < n and k ** (b + 1) <= _BLOCK_BITS:
@@ -232,24 +229,21 @@ def _first_bad_rank(comp_sets, k: int, n: int, deadline: float | None) -> int | 
                         break
         if good:
             return block * size + (good & -good).bit_length() - 1
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetError("arrow decision exceeded its wall-clock budget")
     return None
 
 
-class _CompositeTable:
-    """Indices of {w . q : q in hom(A,B)} inside hom(A,C), per candidate w."""
+class CompositeTable:
+    """Indices of {w . q : q in hom(A,B)} inside hom(A,C), per candidate w;
+    ``index`` maps each morphism of hom(A,C) to its position."""
 
     def __init__(self, category, hom_ac, hom_bc, hom_ab):
-        index = {}
-        for i, m in enumerate(hom_ac):
-            index[m] = i
+        self.index = {m: i for i, m in enumerate(hom_ac)}
         self.comp_sets: list[tuple[int, ...]] = []
         for w in hom_bc:
             seen = set()
             for q in hom_ab:
                 comp = category.compose(w, q)
-                i = index.get(comp)
+                i = self.index.get(comp)
                 if i is None:
                     raise DomainError(
                         "composite of candidate and small morphism falls outside hom(A, C)"
@@ -257,30 +251,26 @@ class _CompositeTable:
                 seen.add(i)
             self.comp_sets.append(tuple(sorted(seen)))
 
+    def first_mono(self, colors: Sequence[int]):
+        """(candidate index in hom(B,C) order, color) of the first candidate
+        whose composites share one color under ``colors``, a color per
+        morphism of hom(A,C); (None, None) when there is none."""
+        for wi, comps in enumerate(self.comp_sets):
+            met = {colors[i] for i in comps}
+            if len(met) <= 1:
+                color = next(iter(met)) if met else 1
+                return wi, color
+        return None, None
 
-def _first_mono(table: _CompositeTable, coloring: Coloring):
-    """First candidate index (in hom(B,C) order) whose composites share a color."""
-    for wi, comps in enumerate(table.comp_sets):
-        colors = {coloring.colors[i] for i in comps}
-        if len(colors) <= 1:
-            color = next(iter(colors)) if colors else 1
-            return wi, color
-    return None, None
 
-
-def decide_arrow(
-    instance: ArrowInstance,
-    budget: Budget = DEFAULT_BUDGET,
-    threads: int = 1,
-) -> ArrowVerdict:
+def decide_arrow(instance: ArrowInstance, budget: Budget = DEFAULT_BUDGET) -> ArrowVerdict:
     """Decide C -> (B)^A_k by exhausting all colorings of hom(A, C).
 
     Refuses (naming the blowup) when a hom set exceeds ``budget.max_hom``
     or ``k^|hom(A,C)|`` exceeds ``budget.max_colorings``.  A failing
     instance returns the first bad coloring in Gray order, and
     ``colorings_checked`` is its rank plus one; a holding one reports all
-    k^|hom(A,C)| colorings.  ``threads`` is accepted for compatibility and
-    has no effect.
+    k^|hom(A,C)| colorings.
     """
     cat, k = instance.category, instance.k
     hom_ac = cat.hom(instance.A, instance.C, budget)
@@ -299,11 +289,8 @@ def decide_arrow(
         "hom_AB": len(hom_ab),
         "colorings_checked": 0,
     }
-    table = _CompositeTable(cat, hom_ac, hom_bc, hom_ab)
-    deadline = None
-    if budget.wall_ms is not None:
-        deadline = time.monotonic() + budget.wall_ms / 1000.0
-    rank = _first_bad_rank(table.comp_sets, k, n, deadline)
+    table = CompositeTable(cat, hom_ac, hom_bc, hom_ab)
+    rank = _first_bad_rank(table.comp_sets, k, n)
     if rank is None:
         counts["colorings_checked"] = total
         return ArrowVerdict(True, counts)
@@ -333,12 +320,12 @@ def check_coloring(
         raise DomainError(
             f"coloring covers {len(coloring.colors)} morphisms, hom(A,C) has {len(hom_ac)}"
         )
-    table = _CompositeTable(cat, hom_ac, hom_bc, hom_ab)
+    table = CompositeTable(cat, hom_ac, hom_bc, hom_ab)
     detail = []
     for wi, comps in enumerate(table.comp_sets):
         met = sorted({coloring.colors[i] for i in comps})
         detail.append({"candidate": cat.morphism_json(hom_bc[wi]), "colors_met": met})
-    wi, color = _first_mono(table, coloring)
+    wi, color = table.first_mono(coloring.colors)
     counts = {
         "hom_AC": len(hom_ac),
         "hom_BC": len(hom_bc),

@@ -56,10 +56,6 @@ class BaseOrder:
     def ranks(self, xs: Iterable) -> frozenset[int]:
         return frozenset(self.rank(x) for x in xs)
 
-    def compare_elements(self, x, y) -> int:
-        rx, ry = self.rank(x), self.rank(y)
-        return LESS if rx < ry else GREATER if rx > ry else EQUAL
-
 
 def _check_kind(kind: str, allowed: tuple[str, ...]) -> None:
     if kind not in allowed:

@@ -22,8 +22,6 @@ from typing import Hashable, Iterable, Iterator, Mapping
 from .errors import BudgetError, DomainError, EmbeddingError, SpectrumError, StructureError
 from .orders import BaseOrder, compare_tuples
 
-Rational = Fraction
-
 DEFAULT_MAX_POINTS = 4096  # largest tuple space the decoders build by default
 
 

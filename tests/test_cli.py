@@ -444,3 +444,49 @@ def test_every_kind_choice_is_the_selector_table():
         for action in parser._actions:
             if action.dest == "kind":
                 assert tuple(action.choices) == SELECTORS, parser.prog
+
+
+# Each verb declares the flags its handler reads; --format and --timings are on all.
+BUDGET_FLAGS = {"--budget-hom", "--budget-colorings"}
+VERB_FLAGS = {
+    "word validate": {"--alphabet", "--word", "--m"},
+    "word compose": {"--alphabet", "--u", "--v"},
+    "word enumerate": {"--alphabet", "-n", "-m", "--limit"},
+    "structure validate": {"--file"},
+    "structure embeddings": {"--source", "--target", *BUDGET_FLAGS},
+    "encode": {"--file"},
+    "phi": {"--structure", "--word", "--alphabet", "--poset", "--map"},
+    "witness": {"--structure", "--sub", "--map", "--word", "--alphabet"},
+    "pa-check": {"--D", "--E", "--trials", "--seed"},
+    "spectrum check": {"--values"},
+    "spectrum tighten": {"--values"},
+    "arrow decide": {"--kind", "--A", "--B", "--C", "-k", "--seed", "--threads", *BUDGET_FLAGS},
+    "arrow check-coloring": {"--kind", "--A", "--B", "--C", "-k", "--coloring", *BUDGET_FLAGS},
+    "arrow gr": {"--alphabet", "-n", "-m", "--ell", "-k", *BUDGET_FLAGS},
+    "transfer-demo": {"--D", "--E", "-k", "--C", "--coloring", "--seed", "--threads",
+                      *BUDGET_FLAGS},
+    "fixture": {"--corrupt"},
+}
+COMMON_FLAGS = {"--format", "--timings", "--seed", "--threads", *BUDGET_FLAGS}
+
+
+def test_each_verb_declares_only_the_flags_it_reads():
+    declared = {}
+    for parser in _parsers(build_parser()):
+        if "handler" in parser._defaults:
+            verb = parser.prog.removeprefix("ramseylift ")
+            declared[verb] = {opt for action in parser._actions for opt in action.option_strings
+                              if opt not in ("-h", "--help")}
+    assert declared == {verb: flags | {"--format", "--timings"}
+                        for verb, flags in VERB_FLAGS.items()}
+    assert sum(len(flags & COMMON_FLAGS) for flags in declared.values()) == 47
+
+
+@pytest.mark.parametrize("c", ["1", "-1"])
+def test_word_base_refuses_an_object_shorter_than_the_encoded_pair(files, capsys, c):
+    d, e = files("d.json", CHAIN2), files("e.json", POINT)
+    code, error = _error(capsys, "transfer-demo", "poset", "--D", d, "--E", e, "-k", "2",
+                         "--C", c)
+    assert code == 1
+    assert error == {"type": "DomainError",
+                     "message": f"no word with 2 parameters and length {c} exists"}

@@ -7,7 +7,11 @@ protocol.  The commands cover encode, phi, witness, pa-check and
 transfer-demo for every kind, phi into an explicit poset with --map,
 transfer-demo with an integer and a poset-file --C (failing premises
 included) and with --coloring.  The data is a record of past behaviour:
-do not regenerate it to make a change pass.
+do not regenerate it to make a change pass.  Four cases were edited by
+hand when the word premise moved from ``decide_gr`` to ``decide_arrow``:
+the failing ``--C 2`` poset premise (JSON and text) now reports the first
+bad coloring in Gray order, ``[2, 1, 1]``, and the probed one's budget
+refusal names ``k^|hom(A,C)|`` instead of ``k^|W^5_1|``.
 """
 
 import json

@@ -146,3 +146,17 @@ def test_transfer_demo_explicit_poset_premise():
 def test_transfer_demo_coloring_must_fit():
     with pytest.raises(DomainError, match="coloring"):
         transfer_demo("poset", CHAIN2, CHAIN2, 2, coloring=[1, 2], seed=5)
+
+
+@pytest.mark.parametrize("run, message", [
+    (lambda: transfer_demo("graph", CHAIN2, CHAIN2, 2), "D must be of kind graph, got poset"),
+    (lambda: transfer_demo("ultrametric", U_PAIR, M_POINT, 2),
+     "E must be of kind ultrametric, got metric"),
+    (lambda: pa_harness("metric", CHAIN2, CHAIN2), "D must be of kind metric, got poset"),
+    (lambda: pa_harness("poset", CHAIN2, LinOrderedGraph.build([1], []), trials=1),
+     "E must be of kind poset, got graph"),
+], ids=["transfer-D", "transfer-E", "pa-D", "pa-E"])
+def test_library_refuses_structures_of_another_kind(run, message):
+    with pytest.raises(DomainError) as err:
+        run()
+    assert str(err.value) == message
