@@ -197,7 +197,8 @@ def cmd_structure_validate(args, rep):
 def cmd_structure_embeddings(args, rep):
     src = _structure(args.source)
     tgt = _structure(args.target)
-    hom = StructureCategory(src.kind).hom(src, tgt, _budget(args))
+    cat = StructureCategory(src.kind)
+    hom = [cat.morphism(src, tgt, e) for e in cat.hom(src, tgt, _budget(args))]
     found = [[[a, b] for a, b in e.mapping] for e in hom]
     rep.emit(
         {"count": len(found), "embeddings": found},

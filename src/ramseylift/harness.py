@@ -29,7 +29,6 @@ from .oracle import (
     ArrowInstance,
     Budget,
     DEFAULT_BUDGET,
-    CompositeTable,
     StructureCategory,
     WordCategory,
     decide_arrow,
@@ -41,6 +40,7 @@ from .structures import (
     LinOrderedGraph,
     LinOrderedMetricSpace,
     LinOrderedPoset,
+    compose_embeddings,
     enumerate_embeddings,
     identity_embedding,
     induced_substructure,
@@ -201,9 +201,9 @@ def random_superposet_embedding(rng: random.Random, poset: LinOrderedPoset) -> E
 #
 # A selector is one encoding F into a Ramsey base category with its decoding
 # G, point map phi and factorizing witness.  Both bases answer the same
-# protocol: base_category(), encode(s), phi(s, u), witness(D, E, f, u),
-# decode(C, D, budget), premise(FE, FD, k, budget, C), random_structure(rng)
-# and random_u(rng, D).  A fifth encoding plugs in as one more table entry.
+# protocol: base_category(), compose(u, v), encode(s), phi(s, u),
+# witness(D, E, f, u), decode(C, D, budget), premise(FE, FD, k, budget, C),
+# random_structure(rng) and random_u(rng, D); a fifth encoding is one more entry.
 
 
 class _Selector:
@@ -226,13 +226,14 @@ class _Selector:
 
     def premise(self, FE, FD, k: int, budget: Budget, C):
         """A base object C with C -> (FD)^FE_k: ``C`` checked when given,
-        else the first of the probe sequence that arrows."""
+        else the first of the probe sequence that arrows; returned with the
+        composite table it was decided on."""
         probes = self._probes(FD) if C is None else [self._given(C, FD)]
         for label, candidate in probes:
             verdict = decide_arrow(ArrowInstance(self._category, FE, FD, candidate, k), budget)
             if verdict.holds:
                 return {"base": self._category.name, "object": label, "counts": verdict.counts,
-                        "probed": C is None}, candidate
+                        "probed": C is None}, candidate, verdict.table
         raise PremiseError(
             self._refusal.format(C=candidate, FD=FD, FE=FE, k=k)
             + f"; bad coloring: {list(verdict.bad_coloring.colors)}",
@@ -246,6 +247,7 @@ class _WordBase(_Selector):
 
     _category = WordCategory(_GR_ALPHABET)
     _refusal = "object {C} does not arrow ({FD})^({FE})_{k}"
+    compose = staticmethod(W.compose)
 
     def encode(self, s) -> int:
         return self._encode(s).object
@@ -283,6 +285,7 @@ class _PosetBase(_Selector):
 
     _category = StructureCategory("poset")
     _refusal = "the supplied poset does not arrow the encoded pair"
+    compose = staticmethod(compose_embeddings)
 
     def encode(self, s) -> LinOrderedPoset:
         return self._encode(s)
@@ -408,7 +411,7 @@ def _run_trial(impl, index: int, trial_seed: str, D, E, f, rng) -> TrialRecord:
     except (VerificationError, DomainError) as exc:
         rec.error = f"witness: {exc}"
         return rec
-    rhs = impl.phi(E, impl.base_category().compose(u, witness))
+    rhs = impl.phi(E, impl.compose(u, witness))
     rec.equation_ok = all(rhs[x] == lhs[f(x)] for x in E.universe)
     if not rec.equation_ok:
         rec.error = "equation: images differ"
@@ -508,7 +511,7 @@ def transfer_demo(
     impl = selector_impl(selector)
     _check_kind(selector, D=D, E=E)
     struct_cat = StructureCategory(selector)
-    hom_E_D = struct_cat.hom(E, D, budget)
+    hom_E_D = [struct_cat.morphism(E, D, f) for f in struct_cat.hom(E, D, budget)]
     if not hom_E_D:
         raise DomainError("E does not embed into D")
     if k < 2:
@@ -519,21 +522,19 @@ def transfer_demo(
     FE = impl.encode(E)
     if not _share_spectrum(D, E):
         raise DomainError("transfer requires D and E over one spectrum")
-    premise, C = impl.premise(FE, FD, k, budget, C)
+    premise, C, table = impl.premise(FE, FD, k, budget, C)
     G_C = impl.decode(C, D, budget)
-    hom_FE_C = base_cat.hom(FE, C, budget)
-    hom_FD_C = base_cat.hom(FD, C, budget)
-    table = CompositeTable(base_cat, hom_FE_C, hom_FD_C, base_cat.hom(FE, FD, budget))
 
     hom_E_GC = struct_cat.hom(E, G_C, budget)
     if not hom_E_GC:
         raise VerificationError("E does not embed into the decoded structure")
-    position = {e.image(): i for i, e in enumerate(hom_E_GC)}
+    position = {e: i for i, e in enumerate(hom_E_GC)}
+    rank = G_C.order.rank_map
 
     def index_in_hom_E_GC(images: dict) -> int:
         """Index in hom(E, G(C)) of the embedding that sends x to images[x]."""
         try:
-            return position[tuple(images[x] for x in E.universe)]
+            return position[tuple(rank[images[x]] for x in E.universe)]
         except KeyError:
             raise VerificationError(
                 "an encoded morphism is missing from the enumerated hom set"
@@ -549,7 +550,8 @@ def transfer_demo(
             )
 
     # phi(E, .) once per base morphism: the composites u* . v below are among them
-    phi_index = [index_in_hom_E_GC(impl.phi(E, u)) for u in hom_FE_C]
+    phi_index = [index_in_hom_E_GC(impl.phi(E, base_cat.morphism(FE, C, u)))
+                 for u in table.hom_ac]
     pulled = [colors[i] for i in phi_index]
     mono_index, mono_color = table.first_mono(pulled)
     if mono_index is None:
@@ -557,17 +559,18 @@ def transfer_demo(
             "no monochromatic base morphism exists although the premise arrow holds"
         )
 
-    u_star = hom_FD_C[mono_index]
+    w_star = table.hom_bc[mono_index]
+    u_star = base_cat.morphism(FD, C, w_star)
     phi_image = impl.phi(D, u_star)
     big = Embedding(D, G_C, tuple((x, phi_image[x]) for x in D.universe))
     composites = []
     verified = True
     for f in hom_E_D:
-        comp = struct_cat.compose(big, f)
+        comp = compose_embeddings(big, f)
         comp_idx = index_in_hom_E_GC(comp.as_dict)
         color = colors[comp_idx]
         v = impl.witness(D, E, f, u_star)
-        uv_index = table.index[base_cat.compose(u_star, v)]
+        uv_index = table.index[base_cat.compose(w_star, base_cat.key(v))]
         lifted_color = pulled[uv_index]
         factors = phi_index[uv_index] == comp_idx
         composites.append(

@@ -9,24 +9,20 @@ clearing the bits under which some candidate is monochromatic.  The
 verdict is deterministic; when the relation fails the returned bad
 coloring is the first one in Gray order and is re-checkable.
 
-Deciding is generic over a category adapter (objects, hom enumeration,
-composition, identity); adapters are provided for the four structure
-categories and for the parameter-word category.
+Deciding is generic over a category adapter (hom enumeration, composition,
+conversion to and from public morphisms); adapters are provided for the
+four structure categories and for the parameter-word category.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import BudgetError, DomainError
-from .structures import (
-    Embedding,
-    compose_embeddings,
-    enumerate_embeddings,
-    identity_embedding,
-)
+from .structures import Embedding, embedding_ranks
 from . import words as W
 
 
@@ -42,26 +38,28 @@ DEFAULT_BUDGET = Budget()
 
 
 class StructureCategory:
-    """Structures of one kind with embeddings as morphisms."""
+    """Structures of one kind with embeddings as morphisms, each held as the
+    tuple of its target ranks: (w . q)[i] = w[q[i]].  ``morphism`` makes
+    the :class:`Embedding` and ``key`` takes one back."""
 
     def __init__(self, kind: str):
         self.name = kind
 
-    def hom(self, a, b, budget: Budget = DEFAULT_BUDGET) -> list[Embedding]:
-        out = []
-        for e in enumerate_embeddings(a, b):
-            out.append(e)
-            if len(out) > budget.max_hom:
-                raise BudgetError(
-                    f"hom set exceeds budget of {budget.max_hom} morphisms"
-                )
+    def hom(self, a, b, budget: Budget = DEFAULT_BUDGET) -> list[tuple[int, ...]]:
+        out = list(itertools.islice(embedding_ranks(a, b), budget.max_hom + 1))
+        if len(out) > budget.max_hom:
+            raise BudgetError(f"hom set exceeds budget of {budget.max_hom} morphisms")
         return out
 
-    def compose(self, outer, inner):
-        return compose_embeddings(outer, inner)
+    def compose(self, outer: tuple[int, ...], inner: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple([outer[i] for i in inner])
 
-    def identity(self, a):
-        return identity_embedding(a)
+    def morphism(self, a, b, ranks: tuple[int, ...]) -> Embedding:
+        return Embedding(a, b, tuple(zip(a.universe, map(b.universe.__getitem__, ranks))))
+
+    def key(self, e: Embedding) -> tuple[int, ...]:
+        rank = e.target.order.rank_map
+        return tuple([rank[y] for _, y in e.mapping])
 
     def morphism_json(self, e: Embedding):
         return {"map": [[a, b] for a, b in e.mapping]}
@@ -80,8 +78,11 @@ class WordCategory:
     def compose(self, outer: W.ParameterWord, inner: W.ParameterWord):
         return W.compose(outer, inner)
 
-    def identity(self, a: int):
-        return W.identity(self.alphabet, a)
+    def morphism(self, a: int, b: int, w: W.ParameterWord) -> W.ParameterWord:
+        return w
+
+    def key(self, w: W.ParameterWord) -> W.ParameterWord:
+        return w
 
     def morphism_json(self, w: W.ParameterWord):
         return {"word": w.text()}
@@ -127,6 +128,7 @@ class ArrowVerdict:
     bad_coloring: Coloring | None = None
     witness: object | None = None
     witness_color: int | None = None
+    table: CompositeTable | None = field(default=None, repr=False, compare=False)
 
     def to_json(self, category) -> dict:
         out = {"holds": self.holds, "counts": dict(self.counts)}
@@ -152,7 +154,8 @@ def _gray_digits(rank: int, n: int, k: int) -> list[int]:
     return out
 
 
-def _low_digit_masks(b: int, k: int, parity: int) -> list[list[int]]:
+@functools.cache
+def _low_digit_masks(b: int, k: int, parity: int) -> tuple[tuple[int, ...], ...]:
     """masks[j][c] has bit r set when digit j < b equals c at rank
     parity * k^b + r.  Digit j runs through 0..k-1 and back in runs of k^j
     ranks, so within any block of k^b ranks it depends only on the parity
@@ -172,8 +175,8 @@ def _low_digit_masks(b: int, k: int, parity: int) -> list[list[int]]:
                 x |= x << width
                 width *= 2
             row.append(x & ((1 << size) - 1))
-        masks.append(row)
-    return masks
+        masks.append(tuple(row))
+    return tuple(masks)
 
 
 def _mono_masks(digit_masks, low, k: int, full: int) -> list[int]:
@@ -233,23 +236,26 @@ def _first_bad_rank(comp_sets, k: int, n: int) -> int | None:
 
 
 class CompositeTable:
-    """Indices of {w . q : q in hom(A,B)} inside hom(A,C), per candidate w;
-    ``index`` maps each morphism of hom(A,C) to its position."""
+    """The three hom sets and, per candidate w of hom(B,C), the indices of
+    {w . q : q in hom(A,B)} inside hom(A,C); ``index`` maps each morphism
+    of hom(A,C) to its position."""
 
     def __init__(self, category, hom_ac, hom_bc, hom_ab):
-        self.index = {m: i for i, m in enumerate(hom_ac)}
+        self.hom_ac, self.hom_bc, self.hom_ab = hom_ac, hom_bc, hom_ab
+        self.index = index = {m: i for i, m in enumerate(hom_ac)}
         self.comp_sets: list[tuple[int, ...]] = []
         for w in hom_bc:
-            seen = set()
-            for q in hom_ab:
-                comp = category.compose(w, q)
-                i = self.index.get(comp)
-                if i is None:
-                    raise DomainError(
-                        "composite of candidate and small morphism falls outside hom(A, C)"
-                    )
-                seen.add(i)
+            try:
+                seen = {index[category.compose(w, q)] for q in hom_ab}
+            except KeyError:
+                raise DomainError(
+                    "composite of candidate and small morphism falls outside hom(A, C)"
+                ) from None
             self.comp_sets.append(tuple(sorted(seen)))
+
+    def counts(self, colorings_checked: int) -> dict:
+        return {"hom_AC": len(self.hom_ac), "hom_BC": len(self.hom_bc),
+                "hom_AB": len(self.hom_ab), "colorings_checked": colorings_checked}
 
     def first_mono(self, colors: Sequence[int]):
         """(candidate index in hom(B,C) order, color) of the first candidate
@@ -283,20 +289,12 @@ def decide_arrow(instance: ArrowInstance, budget: Budget = DEFAULT_BUDGET) -> Ar
             f"deciding needs k^|hom(A,C)| = {k}^{n} = {total} colorings, "
             f"above the budget of {budget.max_colorings}"
         )
-    counts = {
-        "hom_AC": n,
-        "hom_BC": len(hom_bc),
-        "hom_AB": len(hom_ab),
-        "colorings_checked": 0,
-    }
     table = CompositeTable(cat, hom_ac, hom_bc, hom_ab)
     rank = _first_bad_rank(table.comp_sets, k, n)
     if rank is None:
-        counts["colorings_checked"] = total
-        return ArrowVerdict(True, counts)
-    counts["colorings_checked"] = rank + 1
+        return ArrowVerdict(True, table.counts(total), table=table)
     bad = Coloring(tuple(c + 1 for c in _gray_digits(rank, n, k)), k)
-    return ArrowVerdict(False, counts, bad_coloring=bad)
+    return ArrowVerdict(False, table.counts(rank + 1), bad_coloring=bad, table=table)
 
 
 def check_coloring(
@@ -321,21 +319,16 @@ def check_coloring(
             f"coloring covers {len(coloring.colors)} morphisms, hom(A,C) has {len(hom_ac)}"
         )
     table = CompositeTable(cat, hom_ac, hom_bc, hom_ab)
+    candidates = [cat.morphism(instance.B, instance.C, w) for w in hom_bc]
     detail = []
-    for wi, comps in enumerate(table.comp_sets):
+    for w, comps in zip(candidates, table.comp_sets):
         met = sorted({coloring.colors[i] for i in comps})
-        detail.append({"candidate": cat.morphism_json(hom_bc[wi]), "colors_met": met})
+        detail.append({"candidate": cat.morphism_json(w), "colors_met": met})
     wi, color = table.first_mono(coloring.colors)
-    counts = {
-        "hom_AC": len(hom_ac),
-        "hom_BC": len(hom_bc),
-        "hom_AB": len(hom_ab),
-        "colorings_checked": 1,
-    }
     if wi is None:
-        return ArrowVerdict(False, counts, bad_coloring=coloring), detail
+        return ArrowVerdict(False, table.counts(1), bad_coloring=coloring), detail
     return (
-        ArrowVerdict(True, counts, witness=hom_bc[wi], witness_color=color),
+        ArrowVerdict(True, table.counts(1), witness=candidates[wi], witness_color=color),
         detail,
     )
 

@@ -3,11 +3,12 @@
 All four kinds carry an explicit linear order on their universe (a
 :class:`~ramseylift.orders.BaseOrder`).  Distances are exact rationals at
 I/O (fields, JSON, messages); no floating point is used anywhere.  Inside,
-validation, balls and downsets work on ranks: a relation as per-rank
-bitmasks, distances as integers over their common denominator, point sets
-as rank bitmasks.  Construction through the ``build``
-classmethods or :func:`from_json` validates every axiom; the raw dataclass
-constructors are unchecked so that tests can exercise the validators.
+validation, balls, downsets and embeddings work on ranks: a relation as
+per-rank bitmasks, distances as integers over their common denominator,
+point sets as rank bitmasks, an embedding as the tuple of its target ranks.
+Construction through the ``build`` classmethods or :func:`from_json`
+validates every axiom; the raw dataclass constructors are unchecked so that
+tests can exercise the validators.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Hashable, Iterable, Iterator, Mapping
 
 from .errors import BudgetError, DomainError, EmbeddingError, SpectrumError, StructureError
@@ -66,6 +68,7 @@ class LinOrderedGraph:
     edges: frozenset[frozenset]
 
     kind = "graph"
+    relation_values = (False, True)  # whether ranks r and s are adjacent
 
     @classmethod
     def build(cls, vertices: Iterable, edges: Iterable[Iterable]) -> "LinOrderedGraph":
@@ -78,6 +81,13 @@ class LinOrderedGraph:
     def universe(self) -> tuple:
         return self.order.elements
 
+    @cached_property
+    def relation_masks(self) -> int:
+        """See :func:`embedding_ranks`."""
+        rank = self.order.rank_map
+        return _binary_masks(len(rank), [(rank[x], rank[y]) for e in self.edges
+                                         for x in e for y in e if x != y])
+
 
 @dataclass(frozen=True)
 class LinOrderedPoset:
@@ -85,6 +95,7 @@ class LinOrderedPoset:
     leq: frozenset[tuple]  # all pairs (a, b) with a below-or-equal b, reflexive pairs included
 
     kind = "poset"
+    relation_values = (False, True)  # whether r <= s
 
     @classmethod
     def build(cls, vertices: Iterable, strict_pairs: Iterable[tuple]) -> "LinOrderedPoset":
@@ -110,6 +121,17 @@ class LinOrderedPoset:
 
     def downset_of(self, a) -> frozenset:
         return frozenset(b for b in self.universe if self.below(b, a))
+
+    @cached_property
+    def relation_masks(self) -> int:
+        """See :func:`embedding_ranks`; rank s is related to r when r <= s."""
+        return _binary_masks(len(self.universe), _ranked_pairs(self))
+
+
+def _binary_masks(n: int, related) -> int:
+    """Relation masks from the distinct rank pairs (r, s), s related to r."""
+    true = sum(1 << r * n + s for r, s in related)
+    return true << n * n | ((1 << n * n) - 1) ^ true
 
 
 def _dist_matrix(order: BaseOrder, dist: Mapping) -> tuple[tuple[Fraction, ...], ...]:
@@ -139,6 +161,17 @@ class _SpaceMixin:
 
     def point_ball(self, x, radius: Fraction) -> frozenset:
         return frozenset(y for y in self.universe if self.d(x, y) <= radius)
+
+    relation_values = property(lambda self: self.spectrum)
+
+    @cached_property
+    def relation_masks(self) -> int:
+        """See :func:`embedding_ranks`; distances compare as integers over
+        the common denominator."""
+        dist, spect = _scaled(self)
+        n, value = len(dist), {d: v for v, d in enumerate(spect)}
+        return sum(1 << (value[d] * n + r) * n + z
+                   for r, row in enumerate(dist) for z, d in enumerate(row))
 
 
 def _scaled(space) -> tuple[list[list[int]], list[int]]:
@@ -348,10 +381,6 @@ class Embedding:
         return ", ".join(f"{a!r}->{b!r}" for a, b in self.mapping)
 
 
-def _as_mapping(f) -> dict:
-    return f.as_dict if isinstance(f, Embedding) else dict(f)
-
-
 def compose_embeddings(g: Embedding, f: Embedding) -> Embedding:
     """The composite ``g after f``; embeddings compose to embeddings."""
     if f.target != g.source:
@@ -372,7 +401,7 @@ def check_embedding(f, source, target) -> Embedding:
     """
     if source.kind != target.kind:
         raise EmbeddingError(f"kind mismatch: {source.kind} into {target.kind}")
-    m = _as_mapping(f)
+    m = f.as_dict if isinstance(f, Embedding) else dict(f)
     for v in source.universe:
         if v not in m:
             raise EmbeddingError(f"map does not cover source element {v!r}")
@@ -385,8 +414,9 @@ def check_embedding(f, source, target) -> Embedding:
     if len(set(images)) != len(images):
         raise EmbeddingError("map is not injective")
     uni = source.universe
-    for a, b in itertools.combinations(uni, 2):  # a < b in source order
-        if not target.order.rank(m[a]) < target.order.rank(m[b]):
+    ranks = [target.order.rank(m[a]) for a in uni]
+    for (i, a), (j, b) in itertools.combinations(enumerate(uni), 2):  # a < b in source order
+        if not ranks[i] < ranks[j]:
             raise EmbeddingError(f"linear order not preserved on ({a!r},{b!r})")
     kind = source.kind
     if kind == "graph":
@@ -397,13 +427,15 @@ def check_embedding(f, source, target) -> Embedding:
                 clause = "preserved" if here else "reflected"
                 raise EmbeddingError(f"adjacency not {clause} on ({a!r},{b!r})")
     elif kind == "poset":
-        for a in uni:
-            for b in uni:
-                here = source.below(a, b)
-                there = target.below(m[a], m[b])
-                if here != there:
-                    clause = "preserved" if here else "reflected"
-                    raise EmbeddingError(f"partial order not {clause} on ({a!r},{b!r})")
+        k, n = len(uni), len(target.universe)
+        for i, a in enumerate(uni):  # the True rows: the ranks above a, and above its image
+            here = source.relation_masks >> (k + i) * k & ((1 << k) - 1)
+            up = target.relation_masks >> (n + ranks[i]) * n
+            diff = here ^ sum(1 << q for q, t in enumerate(ranks) if up >> t & 1)
+            if diff:
+                q = (diff & -diff).bit_length() - 1
+                clause = "preserved" if here >> q & 1 else "reflected"
+                raise EmbeddingError(f"partial order not {clause} on ({a!r},{uni[q]!r})")
     else:
         for a, b in itertools.combinations(uni, 2):
             if source.d(a, b) != target.d(m[a], m[b]):
@@ -414,46 +446,54 @@ def check_embedding(f, source, target) -> Embedding:
     return Embedding(source, target, tuple((v, m[v]) for v in uni))
 
 
-def _pair_compatible(source, target, a, fa, b, fb) -> bool:
-    kind = source.kind
-    if kind == "graph":
-        return (frozenset((a, b)) in source.edges) == (frozenset((fa, fb)) in target.edges)
-    if kind == "poset":
-        return source.below(a, b) == target.below(fa, fb) and source.below(b, a) == target.below(
-            fb, fa
-        )
-    return source.d(a, b) == target.d(fa, fb)
+def embedding_ranks(source, target) -> Iterator[tuple[int, ...]]:
+    """Yield every embedding of ``source`` into ``target`` exactly once, as
+    the tuple of target ranks of the source elements.
 
-
-def enumerate_embeddings(source, target) -> Iterator[Embedding]:
-    """Yield all embeddings of ``source`` into ``target`` exactly once.
-
-    Backtracks over source elements in declared order; since the linear
-    order must be preserved, candidate images are strictly increasing, so
-    the output is sorted lexicographically by image tuple.
+    A structure of n elements holds its relation in ``relation_masks``, an
+    integer of n-bit rows: bit s of row v * n + r is set when rank s bears
+    ``relation_values[v]`` (adjacency, order, or a distance) to rank r.
+    Images strictly increase, so the tuples come out in lexicographic
+    order; element i may go to rank j when j is in the target row, at the
+    image of each earlier element p, of the value p bears to i.
     """
     if source.kind != target.kind:
         raise EmbeddingError(f"kind mismatch: {source.kind} into {target.kind}")
-    src = source.universe
-    tgt = target.universe
-    k = len(src)
-    chosen: list = []
+    k, n = len(source.universe), len(target.universe)
+    if k > n:
+        return
+    src, values = source.relation_values, target.relation_values
+    needs = [[] for _ in range(k)]  # needs[i]: (p, bit offset of the target rows for p-to-i)
+    for i in range(k):
+        for p in range(i):
+            v = next(v for v in range(len(src)) if source.relation_masks >> (v * k + p) * k + i & 1)
+            if src[v] not in values:
+                return
+            needs[i].append((p, values.index(src[v]) * n * n))
+    masks, chosen = target.relation_masks, [0] * k
 
-    def walk(i: int, lo: int) -> Iterator[Embedding]:
+    def walk(i: int, lo: int) -> Iterator[tuple[int, ...]]:
         if i == k:
-            yield Embedding(source, target, tuple(zip(src, chosen)))
+            yield tuple(chosen)
             return
-        for j in range(lo, len(tgt) - (k - i) + 1):
-            cand = tgt[j]
-            if all(
-                _pair_compatible(source, target, src[p], chosen[p], src[i], cand)
-                for p in range(i)
-            ):
-                chosen.append(cand)
-                yield from walk(i + 1, j + 1)
-                chosen.pop()
+        cand = (1 << (n - k + i + 1)) - (1 << lo)  # ranks lo .. n-k+i
+        for p, offset in needs[i]:
+            cand &= masks >> offset + chosen[p] * n
+        while cand:
+            low = cand & -cand
+            chosen[i] = low.bit_length() - 1
+            yield from walk(i + 1, chosen[i] + 1)
+            cand ^= low
 
     yield from walk(0, 0)
+
+
+def enumerate_embeddings(source, target) -> Iterator[Embedding]:
+    """Yield all embeddings of ``source`` into ``target`` exactly once,
+    sorted lexicographically by image tuple (see :func:`embedding_ranks`)."""
+    src, image = source.universe, target.universe.__getitem__
+    for ranks in embedding_ranks(source, target):
+        yield Embedding(source, target, tuple(zip(src, map(image, ranks))))
 
 
 def induced_substructure(s, subset: Iterable):

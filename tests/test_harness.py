@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ramseylift import fixtures
+from ramseylift import fixtures, harness, oracle
 from ramseylift.errors import BudgetError, DomainError, PremiseError
 from ramseylift.harness import (
     SELECTORS,
@@ -95,6 +95,33 @@ def test_transfer_demo_ultrametric_nontrivial():
     assert len(report.composites) == 2
     assert all(c["color"] == report.mono_color for c in report.composites)
     assert all(c["factorization_exact"] for c in report.composites)
+
+
+@pytest.mark.parametrize("selector", SELECTORS)
+def test_transfer_demo_reuses_the_premise_table(selector, monkeypatch):
+    """transfer_demo reads hom(FE, C), hom(FD, C) and the composite table
+    from the premise's last decision instead of building them again."""
+    tables, decisions = [], []
+    init, decide = oracle.CompositeTable.__init__, harness.decide_arrow
+
+    def counting_init(self, *args):
+        tables.append(self)
+        init(self, *args)
+
+    def counting_decide(*args):
+        decisions.append(decide(*args))
+        return decisions[-1]
+
+    monkeypatch.setattr(oracle.CompositeTable, "__init__", counting_init)
+    monkeypatch.setattr(harness, "decide_arrow", counting_decide)
+    point = {"graph": LinOrderedGraph.build([1], []), "poset": POINT_POSET,
+             "ultrametric": U_POINT, "metric": M_POINT}[selector]
+    D = U_PAIR if selector == "ultrametric" else point
+    report = transfer_demo(selector, D, point, 2, seed=5)
+    assert report.verified
+    assert len(tables) == len(decisions) >= 1
+    assert decisions[-1].table is tables[-1]
+    assert len(report.pulled_back) == len(tables[-1].hom_ac)
 
 
 def test_transfer_demo_metric():

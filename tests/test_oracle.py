@@ -3,11 +3,14 @@ import random
 
 import pytest
 
+from ramseylift import structures
+from ramseylift import words as W
 from ramseylift.errors import BudgetError, DomainError
 from ramseylift.oracle import (
     ArrowInstance,
     Budget,
     Coloring,
+    CompositeTable,
     StructureCategory,
     WordCategory,
     _gray_digits,
@@ -15,7 +18,12 @@ from ramseylift.oracle import (
     decide_arrow,
     decide_gr,
 )
-from ramseylift.structures import LinOrderedGraph, LinOrderedPoset
+from ramseylift.structures import (
+    LinOrderedGraph,
+    LinOrderedPoset,
+    compose_embeddings,
+    enumerate_embeddings,
+)
 from ramseylift.words import Alphabet, count_words
 
 A0 = Alphabet(["0"])
@@ -47,16 +55,25 @@ def _gray_steps(n_digits: int, radix: int):
         yield j, old, a[j]
 
 
+def _reference_comp_sets(inst: ArrowInstance):
+    """(|hom(A,C)|, per candidate of hom(B,C) the set of indices in hom(A,C)
+    of its composites), composing the public morphisms: embeddings by
+    compose_embeddings, parameter words by words.compose."""
+    if isinstance(inst.category, WordCategory):
+        hom, compose = inst.category.hom, W.compose
+    else:
+        hom, compose = (lambda x, y: list(enumerate_embeddings(x, y))), compose_embeddings
+    hom_ac, hom_ab = hom(inst.A, inst.C), hom(inst.A, inst.B)
+    index = {m: i for i, m in enumerate(hom_ac)}
+    return len(hom_ac), [{index[compose(w, q)] for q in hom_ab} for w in hom(inst.B, inst.C)]
+
+
 def _reference_decide(inst: ArrowInstance):
     """(holds, bad coloring, colorings checked) by walking the reference
     Gray order and re-checking every candidate at every coloring."""
-    cat = inst.category
-    hom_ac = cat.hom(inst.A, inst.C)
-    hom_ab = cat.hom(inst.A, inst.B)
-    index = {m: i for i, m in enumerate(hom_ac)}
-    comps = [{index[cat.compose(w, q)] for q in hom_ab} for w in cat.hom(inst.B, inst.C)]
-    state = [0] * len(hom_ac)
-    steps = _gray_steps(len(hom_ac), inst.k)
+    n, comps = _reference_comp_sets(inst)
+    state = [0] * n
+    steps = _gray_steps(n, inst.k)
     for rank in itertools.count():
         if not any(len({state[i] for i in c}) <= 1 for c in comps):
             return False, Coloring(tuple(c + 1 for c in state), inst.k), rank + 1
@@ -139,6 +156,41 @@ def test_kernel_matches_reference_walk():
         multi_block += inst.k ** verdict.counts["hom_AC"] > 4096
         late += not holds and checked > 4096
     assert multi_block >= 10 and late >= len(LATE_FAILURES)
+
+
+def test_composite_table_matches_reference_sets():
+    instances = _random_instances("oracle:table", 90, 20_000) + LATE_FAILURES
+    kinds = set()
+    for inst in instances:
+        cat = inst.category
+        table = CompositeTable(cat, *(cat.hom(x, y) for x, y in
+                                      ((inst.A, inst.C), (inst.B, inst.C), (inst.A, inst.B))))
+        n, reference = _reference_comp_sets(inst)
+        assert len(table.hom_ac) == n
+        assert table.comp_sets == [tuple(sorted(c)) for c in reference], inst
+        assert decide_arrow(inst).table.comp_sets == table.comp_sets
+        kinds.add(cat.name)
+    assert kinds == {"poset", "graph", "words"}
+
+
+def test_holding_poset_decision_builds_no_embedding(monkeypatch):
+    built = []
+    init = structures.Embedding.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(structures.Embedding, "__init__", counting_init)
+    list(enumerate_embeddings(POINT, CHAIN3))
+    assert len(built) == 3  # the counter sees embeddings that are made
+    built.clear()
+    chain6 = LinOrderedPoset.build(range(6), itertools.combinations(range(6), 2))
+    for inst in (ArrowInstance(POSETS, POINT, CHAIN2, CHAIN3, 2),
+                 ArrowInstance(POSETS, POINT, CHAIN3, chain6, 2)):
+        verdict = decide_arrow(inst)
+        assert verdict.holds and verdict.counts["hom_AC"] > 1
+    assert built == []
 
 
 def test_three_chain_arrows_two_chain():

@@ -18,6 +18,7 @@ from ramseylift.structures import (
     check_embedding,
     compose_embeddings,
     downsets,
+    embedding_ranks,
     enumerate_embeddings,
     from_json,
     identity_embedding,
@@ -152,6 +153,103 @@ def test_enumeration_matches_brute_force(selector):
         assert len(fast) == len(slow)
         found_nonempty += bool(fast)
     assert found_nonempty > 0
+
+
+@pytest.mark.parametrize("selector", ["graph", "poset", "ultrametric", "metric"])
+def test_walker_matches_brute_force_on_independent_pairs(selector):
+    """Sources drawn independently of the target (often larger, or over
+    another spectrum), or induced from it; the walker must list exactly the
+    brute-force embeddings, in the same lexicographic order."""
+    rng = random.Random(f"structures:walker:{selector}")
+    sizes = {"found": 0, "empty": 0, "larger": 0}
+    for _ in range(60):
+        tgt = random_structure(rng, selector)
+        if rng.random() < 0.5:
+            src = random_structure(rng, selector)
+        else:
+            keep = rng.sample(list(tgt.universe), rng.randint(1, len(tgt.universe)))
+            src = induced_substructure(tgt, keep)
+        slow = brute_force_embeddings(src, tgt)
+        assert [e.mapping for e in enumerate_embeddings(src, tgt)] == [e.mapping for e in slow]
+        assert list(embedding_ranks(src, tgt)) == [
+            tuple(tgt.order.rank(y) for y in e.image()) for e in slow]
+        sizes["found" if slow else "empty"] += 1
+        sizes["larger"] += len(src.universe) > len(tgt.universe)
+    assert min(sizes.values()) > 0, sizes
+
+
+def _empty(kind):
+    if kind == "graph":
+        return LinOrderedGraph.build([], [])
+    if kind == "poset":
+        return LinOrderedPoset.build([], [])
+    cls = ConvUltrametricSpace if kind == "ultrametric" else LinOrderedMetricSpace
+    return cls.build([], {}, [0, 1])
+
+
+@pytest.mark.parametrize("selector", ["graph", "poset", "ultrametric", "metric"])
+def test_walker_edge_sizes(selector):
+    rng = random.Random(f"structures:edges:{selector}")
+    empty = _empty(selector)
+    for _ in range(10):
+        s = random_structure(rng, selector)
+        small = induced_substructure(s, list(s.universe)[:-1]) if len(s.universe) > 1 else empty
+        # a source larger than the target has no embedding (and no negative shift)
+        assert list(embedding_ranks(s, small)) == []
+        assert list(enumerate_embeddings(s, empty)) == []
+        # the empty source has exactly one embedding, the empty map
+        for target in (s, empty):
+            found = list(enumerate_embeddings(empty, target))
+            assert [e.mapping for e in found] == [()]
+            assert list(embedding_ranks(empty, target)) == [()]
+
+
+def test_walker_compares_spaces_over_different_denominators():
+    src = LinOrderedMetricSpace.build(["a", "b"], {("a", "b"): "1/2"}, ["0", "1/2"])
+    tgt = LinOrderedMetricSpace.build(
+        [1, 2, 3], {(1, 2): "1/3", (1, 3): "1/2", (2, 3): "1/6"}, ["0", "1/6", "1/3", "1/2"])
+    assert list(embedding_ranks(src, tgt)) == [(0, 2)]
+    wide = LinOrderedMetricSpace.build(["a", "b"], {("a", "b"): "2/4"})  # spectrum [0, 1/2]
+    assert list(embedding_ranks(wide, tgt)) == [(0, 2)]
+    off = LinOrderedMetricSpace.build(["a", "b"], {("a", "b"): "2/5"})  # 2/5 is not in tgt
+    assert list(embedding_ranks(off, tgt)) == [] == brute_force_embeddings(off, tgt)
+    ultra_src = ConvUltrametricSpace.build(["a", "b"], {("a", "b"): "3/4"}, ["0", "3/4"])
+    ultra_tgt = ConvUltrametricSpace.build(
+        [1, 2, 3], {(1, 2): "1/2", (1, 3): "3/4", (2, 3): "3/4"}, ["0", "1/2", "3/4", "5"])
+    assert list(embedding_ranks(ultra_src, ultra_tgt)) == [(0, 2), (1, 2)]
+
+
+def _pairwise_poset_clause(source, target, m):
+    """The poset clause of check_embedding as a hashed lookup per ordered
+    pair of source elements: the first mismatch names its clause and pair."""
+    for a in source.universe:
+        for b in source.universe:
+            here, there = source.below(a, b), target.below(m[a], m[b])
+            if here != there:
+                return f"partial order not {'preserved' if here else 'reflected'} on ({a!r},{b!r})"
+    return None
+
+
+def test_check_embedding_poset_clause_matches_pairwise_reference():
+    rng = random.Random("structures:check-poset")
+    checked = {"accepted": 0, "preserved": 0, "reflected": 0}
+    for _ in range(400):
+        tgt = random_structure(rng, "poset")
+        src = random_structure(rng, "poset")
+        if len(src.universe) > len(tgt.universe):
+            continue
+        image = sorted(rng.sample(list(tgt.universe), len(src.universe)), key=tgt.order.rank)
+        m = dict(zip(src.universe, image))
+        expected = _pairwise_poset_clause(src, tgt, m)
+        if expected is None:
+            assert check_embedding(m, src, tgt).mapping == tuple(m.items())
+            checked["accepted"] += 1
+        else:
+            with pytest.raises(EmbeddingError) as err:
+                check_embedding(m, src, tgt)
+            assert str(err.value) == expected
+            checked["preserved" if "preserved" in expected else "reflected"] += 1
+    assert min(checked.values()) > 10, checked
 
 
 @pytest.mark.parametrize("selector", ["graph", "poset", "ultrametric", "metric"])
