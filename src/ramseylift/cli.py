@@ -198,8 +198,8 @@ def cmd_structure_embeddings(args, rep):
     src = _structure(args.source)
     tgt = _structure(args.target)
     cat = StructureCategory(src.kind)
-    hom = [cat.morphism(src, tgt, e) for e in cat.hom(src, tgt, _budget(args))]
-    found = [[[a, b] for a, b in e.mapping] for e in hom]
+    found = [[[a, tgt.universe[r]] for a, r in zip(src.universe, ranks)]
+             for ranks in cat.hom(src, tgt, _budget(args))]
     rep.emit(
         {"count": len(found), "embeddings": found},
         [f"count: {len(found)}"] + [" ".join(f"{a}->{b}" for a, b in e) for e in found],
@@ -382,6 +382,17 @@ def _arrow_instance(args):
     return ArrowInstance(cat, _structure(args.A), _structure(args.B), _structure(args.C), args.k)
 
 
+def _verdict_lines(verdict) -> list[str]:
+    """The text form of an arrow decision: verdict, counts, bad coloring."""
+    lines = [
+        f"verdict: {'holds' if verdict.holds else 'fails'}",
+        "counts: " + " ".join(f"{k}={v}" for k, v in verdict.counts.items()),
+    ]
+    if verdict.bad_coloring is not None:
+        lines.append("bad_coloring: " + ",".join(map(str, verdict.bad_coloring.colors)))
+    return lines
+
+
 def cmd_arrow_decide(args, rep):
     inst = _arrow_instance(args)
     verdict = decide_arrow(inst, _budget(args))
@@ -390,13 +401,7 @@ def cmd_arrow_decide(args, rep):
         "seed": args.seed,
         **verdict.to_json(inst.category),
     }
-    lines = [
-        f"verdict: {'holds' if verdict.holds else 'fails'}",
-        "counts: " + " ".join(f"{k}={v}" for k, v in verdict.counts.items()),
-    ]
-    if verdict.bad_coloring is not None:
-        lines.append("bad_coloring: " + ",".join(map(str, verdict.bad_coloring.colors)))
-    rep.emit(payload, lines)
+    rep.emit(payload, _verdict_lines(verdict))
 
 
 def cmd_arrow_check_coloring(args, rep):
@@ -426,13 +431,7 @@ def cmd_arrow_gr(args, rep):
                      "ell": args.ell, "k": args.k},
         **verdict.to_json(WordCategory(alphabet)),
     }
-    lines = [
-        f"verdict: {'holds' if verdict.holds else 'fails'}",
-        "counts: " + " ".join(f"{k}={v}" for k, v in verdict.counts.items()),
-    ]
-    if verdict.bad_coloring is not None:
-        lines.append("bad_coloring: " + ",".join(map(str, verdict.bad_coloring.colors)))
-    rep.emit(payload, lines)
+    rep.emit(payload, _verdict_lines(verdict))
 
 
 def cmd_transfer_demo(args, rep):

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import DomainError, VerificationError
-from .orders import LESS, BaseOrder, compare_subsets, sort_subsets
+from .orders import BaseOrder, sort_subsets, subset_key
 from .structures import LinOrderedGraph, Embedding
 from .words import ParameterWord, compose, letter_token, validate, variable_positions
 
@@ -60,13 +60,14 @@ def _phi_graph(enc: GraphEncoding, u: ParameterWord) -> dict:
                 img |= parts[n + j]
         images[v] = frozenset(img)
     positions = BaseOrder(range(1, u.n + 1))
+    key = {v: subset_key(positions, "clex", img) for v, img in images.items()}
     for a, b in itertools.combinations(g.universe, 2):
         adjacent = frozenset((a, b)) in g.edges
         if bool(images[a] & images[b]) != adjacent:
             raise VerificationError(
                 f"images of {a!r},{b!r} {'miss' if adjacent else 'hit'} each other"
             )
-        if compare_subsets(positions, "clex", images[a], images[b]) != LESS:
+        if not key[a] < key[b]:
             raise VerificationError(f"images of {a!r},{b!r} are not clex-increasing")
     return images
 

@@ -41,7 +41,7 @@ from .structures import (
     LinOrderedMetricSpace,
     LinOrderedPoset,
     compose_embeddings,
-    enumerate_embeddings,
+    embedding_ranks,
     identity_embedding,
     induced_substructure,
 )
@@ -192,8 +192,7 @@ def random_superposet_embedding(rng: random.Random, poset: LinOrderedPoset) -> E
     for i in range(extra):
         elems.insert(rng.randint(0, len(elems)), ("pad", i))
     padded = LinOrderedPoset.build(elems, poset.strict_pairs())
-    embeddings = list(enumerate_embeddings(poset, padded))
-    return rng.choice(embeddings)
+    return Embedding(poset, padded, rng.choice(list(embedding_ranks(poset, padded))))
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +442,7 @@ def pa_harness(
         _check_kind(selector, D=D, E=E)
         if not _share_spectrum(D, E):
             raise DomainError("D and E must share one spectrum")
-        fixed_embeddings = list(enumerate_embeddings(E, D))
+        fixed_embeddings = list(embedding_ranks(E, D))
         if not fixed_embeddings:
             raise DomainError("E does not embed into D")
     for index in range(trials):
@@ -451,10 +450,10 @@ def pa_harness(
         rng = random.Random(trial_seed)
         if fixed_embeddings is None:
             dd, ee = random_embedded_pair(rng, selector)
-            embeddings = list(enumerate_embeddings(ee, dd))
+            embeddings = list(embedding_ranks(ee, dd))
         else:
             dd, ee, embeddings = D, E, fixed_embeddings
-        f = rng.choice(embeddings)
+        f = Embedding(ee, dd, rng.choice(embeddings))
         report.trials.append(_run_trial(impl, index, trial_seed, dd, ee, f, rng))
     return report
 
@@ -530,15 +529,20 @@ def transfer_demo(
         raise VerificationError("E does not embed into the decoded structure")
     position = {e: i for i, e in enumerate(hom_E_GC)}
     rank = G_C.order.rank_map
+    missing = "an encoded morphism is missing from the enumerated hom set"
 
-    def index_in_hom_E_GC(images: dict) -> int:
-        """Index in hom(E, G(C)) of the embedding that sends x to images[x]."""
+    def ranks_in_G_C(s, images: dict) -> tuple[int, ...]:
+        """The ranks in G(C) of ``images[x]`` for the elements x of ``s``."""
         try:
-            return position[tuple(rank[images[x]] for x in E.universe)]
+            return tuple([rank[images[x]] for x in s.universe])
         except KeyError:
-            raise VerificationError(
-                "an encoded morphism is missing from the enumerated hom set"
-            ) from None
+            raise VerificationError(missing) from None
+
+    def index_in_hom_E_GC(ranks: tuple[int, ...]) -> int:
+        try:
+            return position[ranks]
+        except KeyError:
+            raise VerificationError(missing) from None
 
     if coloring is None:
         colors = [rng.randint(1, k) for _ in hom_E_GC]
@@ -550,7 +554,7 @@ def transfer_demo(
             )
 
     # phi(E, .) once per base morphism: the composites u* . v below are among them
-    phi_index = [index_in_hom_E_GC(impl.phi(E, base_cat.morphism(FE, C, u)))
+    phi_index = [index_in_hom_E_GC(ranks_in_G_C(E, impl.phi(E, base_cat.morphism(FE, C, u))))
                  for u in table.hom_ac]
     pulled = [colors[i] for i in phi_index]
     mono_index, mono_color = table.first_mono(pulled)
@@ -561,13 +565,11 @@ def transfer_demo(
 
     w_star = table.hom_bc[mono_index]
     u_star = base_cat.morphism(FD, C, w_star)
-    phi_image = impl.phi(D, u_star)
-    big = Embedding(D, G_C, tuple((x, phi_image[x]) for x in D.universe))
+    big = Embedding(D, G_C, ranks_in_G_C(D, impl.phi(D, u_star)))
     composites = []
     verified = True
     for f in hom_E_D:
-        comp = compose_embeddings(big, f)
-        comp_idx = index_in_hom_E_GC(comp.as_dict)
+        comp_idx = index_in_hom_E_GC(compose_embeddings(big, f).ranks)
         color = colors[comp_idx]
         v = impl.witness(D, E, f, u_star)
         uv_index = table.index[base_cat.compose(w_star, base_cat.key(v))]

@@ -21,13 +21,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetError, DomainError, SpectrumError, VerificationError
-from .orders import LESS, compare_tuples
+from .orders import tuple_key
 from .structures import (
     DEFAULT_MAX_POINTS,
     Embedding,
     LinOrderedMetricSpace,
     LinOrderedPoset,
-    _scaled,
     check_embedding,
     checked_spectrum,
     _tuple_points,
@@ -40,10 +39,6 @@ COMPLETION_STEP_CAP = 10**6
 class TightSpectrum:
     values: tuple[Fraction, ...]
     tight: bool
-
-    @property
-    def k(self) -> int:
-        return len(self.values) - 1
 
 
 def is_tight(values) -> bool:
@@ -109,7 +104,7 @@ def encode_metric(space: LinOrderedMetricSpace) -> LinOrderedPoset:
     order for any spectrum, tight or not.
     """
     k = len(checked_spectrum(space.spectrum)) - 1
-    dist, spect = _scaled(space)
+    dist, spect = space.scaled
     n = len(space.universe)
     elems = [(x, i) for i in range(k + 1) for x in space.universe]
     pairs = []
@@ -180,6 +175,7 @@ def phi_metric(space: LinOrderedMetricSpace, poset: LinOrderedPoset, u: Embeddin
         raise SpectrumError("phi requires a tight spectrum")
     k = len(spect) - 1
     images = {x: tuple(u((x, i)) for i in range(k)) for x in space.universe}
+    key = {x: tuple_key(poset.order, "lex", t) for x, t in images.items()}
     for x, y in itertools.combinations(space.universe, 2):
         expected = space.d(x, y)
         got = _dist_tuples_raw(poset, spect, images[x], images[y])
@@ -187,7 +183,7 @@ def phi_metric(space: LinOrderedMetricSpace, poset: LinOrderedPoset, u: Embeddin
             raise VerificationError(
                 f"distance of images of {x!r},{y!r} is {got}, expected {expected}"
             )
-        if compare_tuples(poset.order, "lex", images[x], images[y]) != LESS:
+        if not key[x] < key[y]:
             raise VerificationError(f"images of {x!r},{y!r} are not lex-increasing")
     return images
 

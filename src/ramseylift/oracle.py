@@ -55,11 +55,10 @@ class StructureCategory:
         return tuple([outer[i] for i in inner])
 
     def morphism(self, a, b, ranks: tuple[int, ...]) -> Embedding:
-        return Embedding(a, b, tuple(zip(a.universe, map(b.universe.__getitem__, ranks))))
+        return Embedding(a, b, ranks)
 
     def key(self, e: Embedding) -> tuple[int, ...]:
-        rank = e.target.order.rank_map
-        return tuple([rank[y] for _, y in e.mapping])
+        return e.ranks
 
     def morphism_json(self, e: Embedding):
         return {"map": [[a, b] for a, b in e.mapping]}

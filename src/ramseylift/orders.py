@@ -1,13 +1,12 @@
 """Strict orders on finite subsets and tuples of a linearly ordered base set.
 
 Three subset orders (``lex``, ``alex``, ``clex``) and two tuple orders
-(``lex``, ``alex``) over an explicitly declared finite linear order.
-All comparators are three-way and total.
+(``lex``, ``alex``) over an explicitly declared finite linear order, each
+a sort key on ranks; the three-way comparators compare keys.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Iterable, Sequence
@@ -53,58 +52,47 @@ class BaseOrder:
         except KeyError:
             raise DomainError(f"element {x!r} is not in the base order") from None
 
-    def ranks(self, xs: Iterable) -> frozenset[int]:
-        return frozenset(self.rank(x) for x in xs)
-
 
 def _check_kind(kind: str, allowed: tuple[str, ...]) -> None:
     if kind not in allowed:
         raise DomainError(f"unknown order kind {kind!r}; expected one of {allowed}")
 
 
-def compare_subsets(order: BaseOrder, kind: str, a: Iterable, b: Iterable) -> int:
-    """Three-way comparison of two subsets of ``order`` under ``kind``.
-
-    Dispatch order is: equality, containment, then the incomparable branch.
-    The incomparable branch therefore always sees two nonempty differences,
-    so no min/max-of-empty-set convention is ever needed.
-    """
+def subset_key(order: BaseOrder, kind: str, s: Iterable) -> int:
+    """An integer that sorts subsets like ``kind``: for ``alex`` the rank
+    bitmask, for ``lex`` the mask with rank 0 as its highest bit (the least
+    differing rank decides), for ``clex`` the negation of that."""
     _check_kind(kind, SUBSET_ORDER_KINDS)
-    ra = order.ranks(a)
-    rb = order.ranks(b)
-    if ra == rb:
-        return EQUAL
-    if ra < rb:  # proper subset
-        return GREATER if kind == "clex" else LESS
-    if ra > rb:  # proper superset
-        return LESS if kind == "clex" else GREATER
-    only_a = ra - rb
-    only_b = rb - ra
-    if kind == "lex":
-        return LESS if min(only_b) < min(only_a) else GREATER
+    ranks = {order.rank(x) for x in s}
     if kind == "alex":
-        return LESS if max(only_a) < max(only_b) else GREATER
-    return LESS if min(only_a) < min(only_b) else GREATER  # clex
+        return sum(1 << r for r in ranks)
+    key = sum(1 << len(order) - 1 - r for r in ranks)
+    return key if kind == "lex" else -key
+
+
+def tuple_key(order: BaseOrder, kind: str, t: Sequence) -> tuple[int, ...]:
+    """The entries' ranks, last entry first for ``alex``: ``lex`` decides at
+    the least differing index, ``alex`` at the greatest."""
+    _check_kind(kind, TUPLE_ORDER_KINDS)
+    ranks = tuple([order.rank(x) for x in t])
+    return ranks if kind == "lex" else ranks[::-1]
+
+
+def compare_subsets(order: BaseOrder, kind: str, a: Iterable, b: Iterable) -> int:
+    """Three-way comparison of two subsets of ``order`` under ``kind``."""
+    ka, kb = subset_key(order, kind, a), subset_key(order, kind, b)
+    return (ka > kb) - (ka < kb)
 
 
 def compare_tuples(order: BaseOrder, kind: str, a: Sequence, b: Sequence) -> int:
-    """Three-way comparison of two equal-length tuples over ``order``.
-
-    ``lex`` decides at the least differing index, ``alex`` at the greatest.
-    """
+    """Three-way comparison of two equal-length tuples over ``order``."""
     _check_kind(kind, TUPLE_ORDER_KINDS)
     if len(a) != len(b):
         raise DomainError(f"tuple length mismatch: {len(a)} vs {len(b)}")
-    ra = [order.rank(x) for x in a]
-    rb = [order.rank(x) for x in b]
-    indices = range(len(ra)) if kind == "lex" else range(len(ra) - 1, -1, -1)
-    for i in indices:
-        if ra[i] != rb[i]:
-            return LESS if ra[i] < rb[i] else GREATER
-    return EQUAL
+    ka, kb = tuple_key(order, kind, a), tuple_key(order, kind, b)
+    return (ka > kb) - (ka < kb)
 
 
 def sort_subsets(order: BaseOrder, kind: str, subsets: Iterable[Iterable]) -> list[frozenset]:
     """Sort subsets strictly increasing under the chosen subset order."""
-    items = [frozenset(s) for s in subsets]
-    return sorted(items, key=functools.cmp_to_key(lambda x, y: compare_subsets(order, kind, x, y)))
+    return sorted(map(frozenset, subsets), key=lambda s: subset_key(order, kind, s))

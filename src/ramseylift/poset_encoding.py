@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import DomainError, VerificationError
-from .orders import LESS, BaseOrder, compare_subsets, sort_subsets
+from .orders import BaseOrder, sort_subsets, subset_key
 from .structures import Embedding, LinOrderedPoset, downsets
 from .words import ParameterWord, compose, letter_token, validate, variable_positions
 
@@ -60,6 +60,7 @@ def _phi_poset(enc: PosetEncoding, u: ParameterWord) -> dict:
                 img |= parts[a]
         images[i] = frozenset(img)
     positions = BaseOrder(range(1, u.n + 1))
+    key = {i: subset_key(positions, "clex", img) for i, img in images.items()}
     for i, j in itertools.permutations(p.universe, 2):
         if p.below(i, j) and not images[i] >= images[j]:
             raise VerificationError(f"image of {i!r} does not contain image of {j!r}")
@@ -69,7 +70,7 @@ def _phi_poset(enc: PosetEncoding, u: ParameterWord) -> dict:
                 raise VerificationError(
                     f"incomparable {i!r},{j!r} got nested images"
                 )
-        if compare_subsets(positions, "clex", images[i], images[j]) != LESS:
+        if not key[i] < key[j]:
             raise VerificationError(f"images of {i!r},{j!r} are not clex-increasing")
     return images
 

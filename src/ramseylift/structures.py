@@ -1,11 +1,14 @@
 """Finite ordered structures: graphs, posets, ultrametric and metric spaces.
 
 All four kinds carry an explicit linear order on their universe (a
-:class:`~ramseylift.orders.BaseOrder`).  Distances are exact rationals at
-I/O (fields, JSON, messages); no floating point is used anywhere.  Inside,
-validation, balls, downsets and embeddings work on ranks: a relation as
-per-rank bitmasks, distances as integers over their common denominator,
-point sets as rank bitmasks, an embedding as the tuple of its target ranks.
+:class:`~ramseylift.orders.BaseOrder`).  Elements and exact rational
+distances appear where a structure is built, in JSON and text output and
+in error messages; no floating point is used anywhere.  Validation, balls,
+downsets and embeddings work on ranks: a relation as per-rank bitmasks
+(``relation_masks``; a poset's are the up rows its validation found),
+distances as integers over their common denominator (``scaled``), balls as
+rank bitmasks (``ball_masks``), an embedding as the tuple of its target
+ranks.  Each structure derives these views once and caches them.
 Construction through the ``build`` classmethods or :func:`from_json`
 validates every axiom; the raw dataclass constructors are unchecked so that
 tests can exercise the validators.
@@ -13,7 +16,6 @@ tests can exercise the validators.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -22,7 +24,7 @@ from functools import cached_property
 from typing import Hashable, Iterable, Iterator, Mapping
 
 from .errors import BudgetError, DomainError, EmbeddingError, SpectrumError, StructureError
-from .orders import BaseOrder, compare_tuples
+from .orders import BaseOrder, tuple_key
 
 DEFAULT_MAX_POINTS = 4096  # largest tuple space the decoders build by default
 
@@ -84,9 +86,11 @@ class LinOrderedGraph:
     @cached_property
     def relation_masks(self) -> int:
         """See :func:`embedding_ranks`."""
-        rank = self.order.rank_map
-        return _binary_masks(len(rank), [(rank[x], rank[y]) for e in self.edges
-                                         for x in e for y in e if x != y])
+        rank, rows = self.order.rank_map, [0] * len(self.order)
+        for x, y in self.edges:
+            rows[rank[x]] |= 1 << rank[y]
+            rows[rank[y]] |= 1 << rank[x]
+        return _binary_masks(rows)
 
 
 @dataclass(frozen=True)
@@ -124,13 +128,15 @@ class LinOrderedPoset:
 
     @cached_property
     def relation_masks(self) -> int:
-        """See :func:`embedding_ranks`; rank s is related to r when r <= s."""
-        return _binary_masks(len(self.universe), _ranked_pairs(self))
+        """See :func:`embedding_ranks`; rank s is related to r when r <= s.
+        Computing it validates the poset (see :func:`_validate_poset`)."""
+        return _binary_masks(_validate_poset(self))
 
 
-def _binary_masks(n: int, related) -> int:
-    """Relation masks from the distinct rank pairs (r, s), s related to r."""
-    true = sum(1 << r * n + s for r, s in related)
+def _binary_masks(rows) -> int:
+    """Relation masks from ``rows[r]``, the ranks related to rank r."""
+    n = len(rows)
+    true = sum(row << r * n for r, row in enumerate(rows))
     return true << n * n | ((1 << n * n) - 1) ^ true
 
 
@@ -165,23 +171,24 @@ class _SpaceMixin:
     relation_values = property(lambda self: self.spectrum)
 
     @cached_property
+    def scaled(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """The distance matrix and the spectrum as integers over their common
+        denominator.  Comparisons, sums and differences of these are exact and
+        ordered like the rationals they stand for."""
+        den = math.lcm(*{v.denominator for row in self.dmatrix for v in row},
+                       *(v.denominator for v in self.spectrum))
+        return (tuple(tuple([v.numerator * (den // v.denominator) for v in row])
+                      for row in self.dmatrix),
+                tuple([v.numerator * (den // v.denominator) for v in self.spectrum]))
+
+    @cached_property
     def relation_masks(self) -> int:
         """See :func:`embedding_ranks`; distances compare as integers over
         the common denominator."""
-        dist, spect = _scaled(self)
+        dist, spect = self.scaled
         n, value = len(dist), {d: v for v, d in enumerate(spect)}
         return sum(1 << (value[d] * n + r) * n + z
                    for r, row in enumerate(dist) for z, d in enumerate(row))
-
-
-def _scaled(space) -> tuple[list[list[int]], list[int]]:
-    """The distance matrix and the spectrum as integers over their common
-    denominator.  Comparisons, sums and differences of these are exact and
-    ordered like the rationals they stand for."""
-    den = math.lcm(*{v.denominator for row in space.dmatrix for v in row},
-                   *(v.denominator for v in space.spectrum))
-    return ([[v.numerator * (den // v.denominator) for v in row] for row in space.dmatrix],
-            [v.numerator * (den // v.denominator) for v in space.spectrum])
 
 
 def _members(elems: tuple, mask: int) -> frozenset:
@@ -215,6 +222,13 @@ class ConvUltrametricSpace(_SpaceMixin):
     def build(cls, points, dist, spectrum=None) -> "ConvUltrametricSpace":
         return _build_space(cls, points, dist, spectrum)
 
+    @cached_property
+    def ball_masks(self) -> tuple[tuple[int, ...], ...]:
+        """``ball_masks[i][r]``: the ranks within distance ``spectrum[i]`` of rank r."""
+        dist, spect = self.scaled
+        return tuple(tuple(sum(1 << z for z, v in enumerate(row) if v <= radius) for row in dist)
+                     for radius in spect)
+
 
 @dataclass(frozen=True)
 class LinOrderedMetricSpace(_SpaceMixin):
@@ -241,13 +255,11 @@ def _validate_spectrum(spectrum: tuple[Fraction, ...]) -> None:
     for a, b in zip(spectrum, spectrum[1:]):
         if not a < b:
             raise StructureError("spectrum must be strictly increasing")
-    if any(v < 0 for v in spectrum):
-        raise StructureError("spectrum values must be nonnegative")
 
 
 def _validate_metric_axioms(space, strong: bool) -> None:
     pts = space.universe
-    dist, _ = _scaled(space)
+    dist, _ = space.scaled
     for r, x in enumerate(pts):
         if dist[r][r] != 0:
             raise StructureError(f"d({x!r},{x!r}) must be 0")
@@ -266,15 +278,8 @@ def _validate_metric_axioms(space, strong: bool) -> None:
         )
 
 
-def _ball_masks(space) -> list[list[int]]:
-    """``masks[i][r]``: the ranks within distance ``spectrum[i]`` of rank r."""
-    dist, spect = _scaled(space)
-    return [[sum(1 << z for z, v in enumerate(row) if v <= radius) for row in dist]
-            for radius in spect]
-
-
 def _validate_convexity(space: ConvUltrametricSpace) -> None:
-    masks = _ball_masks(space)
+    masks = space.ball_masks
     for r, x in enumerate(space.universe):
         for i, radius in enumerate(space.spectrum):
             run = masks[i][r] // (masks[i][r] & -masks[i][r])
@@ -294,7 +299,8 @@ def _ranked_pairs(p: LinOrderedPoset) -> list[tuple[int, int]]:
         raise StructureError(f"relation pair ({a!r},{b!r}) uses undeclared elements") from None
 
 
-def _validate_poset(s: LinOrderedPoset) -> None:
+def _validate_poset(s: LinOrderedPoset) -> list[int]:
+    """The up rows ``up[r]``, the ranks above rank r, once every axiom holds."""
     elems = s.universe
     pairs = _ranked_pairs(s)
     up = [0] * len(elems)  # up[r]: the ranks above rank r
@@ -315,6 +321,7 @@ def _validate_poset(s: LinOrderedPoset) -> None:
         if ra > rb:
             a, b = elems[ra], elems[rb]
             raise StructureError(f"linear order does not extend the partial order on ({a!r},{b!r})")
+    return up
 
 
 def validate_structure(s) -> dict:
@@ -334,7 +341,7 @@ def validate_structure(s) -> dict:
                     raise StructureError(f"edge vertex {v!r} not declared")
         return {"kind": kind, "size": len(s.order), "edges": len(s.edges)}
     if kind == "poset":
-        _validate_poset(s)
+        s.relation_masks  # computing the masks validates the poset
         return {"kind": kind, "size": len(s.order), "relation_pairs": len(s.leq)}
     if kind in ("ultrametric", "metric"):
         _validate_spectrum(s.spectrum)
@@ -357,25 +364,21 @@ def validate_structure(s) -> dict:
 @dataclass(frozen=True)
 class Embedding:
     """An injective map between same-kind structures that preserves and
-    reflects all relations; build through :func:`check_embedding`."""
+    reflects all relations, held as the target rank of each source element
+    in source order; build through :func:`check_embedding`."""
 
     source: object
     target: object
-    mapping: tuple[tuple, ...]  # (source element, target element), in source order
+    ranks: tuple[int, ...]
+
+    mapping = property(lambda self: tuple(zip(self.source.universe, self.image())))
+    as_dict = property(lambda self: dict(self.mapping))
 
     def __call__(self, x):
-        return self.as_dict[x]
-
-    @property
-    def as_dict(self) -> dict:
-        d = self.__dict__.get("_as_dict")
-        if d is None:
-            d = dict(self.mapping)
-            self.__dict__["_as_dict"] = d
-        return d
+        return self.target.universe[self.ranks[self.source.order.rank_map[x]]]
 
     def image(self) -> tuple:
-        return tuple(t for _, t in self.mapping)
+        return tuple(map(self.target.universe.__getitem__, self.ranks))
 
     def text(self) -> str:
         return ", ".join(f"{a!r}->{b!r}" for a, b in self.mapping)
@@ -385,19 +388,20 @@ def compose_embeddings(g: Embedding, f: Embedding) -> Embedding:
     """The composite ``g after f``; embeddings compose to embeddings."""
     if f.target != g.source:
         raise DomainError("embedding composition: inner target differs from outer source")
-    return Embedding(f.source, g.target, tuple((a, g(b)) for a, b in f.mapping))
+    return Embedding(f.source, g.target, tuple([g.ranks[r] for r in f.ranks]))
 
 
 def identity_embedding(s) -> Embedding:
-    return Embedding(s, s, tuple((v, v) for v in s.universe))
+    return Embedding(s, s, tuple(range(len(s.universe))))
 
 
 def check_embedding(f, source, target) -> Embedding:
     """Validate a candidate map as an embedding of ``source`` into ``target``.
 
     Checks injectivity, strict preservation of the linear order, and the
-    kind's relational clauses in both directions; errors name the violated
-    clause with a witness pair.
+    relation in both directions: each pair of source elements must bear the
+    same value (see :func:`embedding_ranks`) as its image pair.  Errors name
+    the violated clause with a witness pair.
     """
     if source.kind != target.kind:
         raise EmbeddingError(f"kind mismatch: {source.kind} into {target.kind}")
@@ -414,36 +418,30 @@ def check_embedding(f, source, target) -> Embedding:
     if len(set(images)) != len(images):
         raise EmbeddingError("map is not injective")
     uni = source.universe
-    ranks = [target.order.rank(m[a]) for a in uni]
+    ranks = tuple([target.order.rank(y) for y in images])
     for (i, a), (j, b) in itertools.combinations(enumerate(uni), 2):  # a < b in source order
         if not ranks[i] < ranks[j]:
             raise EmbeddingError(f"linear order not preserved on ({a!r},{b!r})")
-    kind = source.kind
-    if kind == "graph":
-        for a, b in itertools.combinations(uni, 2):
-            here = frozenset((a, b)) in source.edges
-            there = frozenset((m[a], m[b])) in target.edges
-            if here != there:
-                clause = "preserved" if here else "reflected"
-                raise EmbeddingError(f"adjacency not {clause} on ({a!r},{b!r})")
-    elif kind == "poset":
-        k, n = len(uni), len(target.universe)
-        for i, a in enumerate(uni):  # the True rows: the ranks above a, and above its image
-            here = source.relation_masks >> (k + i) * k & ((1 << k) - 1)
-            up = target.relation_masks >> (n + ranks[i]) * n
-            diff = here ^ sum(1 << q for q, t in enumerate(ranks) if up >> t & 1)
-            if diff:
-                q = (diff & -diff).bit_length() - 1
-                clause = "preserved" if here >> q & 1 else "reflected"
-                raise EmbeddingError(f"partial order not {clause} on ({a!r},{uni[q]!r})")
-    else:
-        for a, b in itertools.combinations(uni, 2):
-            if source.d(a, b) != target.d(m[a], m[b]):
-                raise EmbeddingError(
-                    f"distance not preserved on ({a!r},{b!r}): "
-                    f"{format_rational(source.d(a, b))} vs {format_rational(target.d(m[a], m[b]))}"
-                )
-    return Embedding(source, target, tuple((v, m[v]) for v in uni))
+    k, n = len(uni), len(target.universe)
+    src, values = source.relation_values, target.relation_values
+    for i, a in enumerate(uni):
+        bad = 0  # the q whose value to i the map changes; by now all of them follow i
+        for v, value in enumerate(src):
+            here = source.relation_masks >> (v * k + i) * k & ((1 << k) - 1)
+            if here:
+                there = (target.relation_masks >> (values.index(value) * n + ranks[i]) * n
+                         if value in values else 0)
+                bad |= here & ~sum(1 << q for q, t in enumerate(ranks) if there >> t & 1)
+        if bad:
+            j = (bad & -bad).bit_length() - 1
+            if source.kind in ("ultrametric", "metric"):
+                here, there = source.dmatrix[i][j], target.dmatrix[ranks[i]][ranks[j]]
+                raise EmbeddingError(f"distance not preserved on ({a!r},{uni[j]!r}): "
+                                     f"{format_rational(here)} vs {format_rational(there)}")
+            clause = "preserved" if source.relation_masks >> (k + i) * k + j & 1 else "reflected"
+            relation = "adjacency" if source.kind == "graph" else "partial order"
+            raise EmbeddingError(f"{relation} not {clause} on ({a!r},{uni[j]!r})")
+    return Embedding(source, target, ranks)
 
 
 def embedding_ranks(source, target) -> Iterator[tuple[int, ...]]:
@@ -455,7 +453,8 @@ def embedding_ranks(source, target) -> Iterator[tuple[int, ...]]:
     ``relation_values[v]`` (adjacency, order, or a distance) to rank r.
     Images strictly increase, so the tuples come out in lexicographic
     order; element i may go to rank j when j is in the target row, at the
-    image of each earlier element p, of the value p bears to i.
+    image of each earlier element p, of the value p bears to i.  The walk
+    keeps a stack of candidate masks, so no recursion limit bounds k.
     """
     if source.kind != target.kind:
         raise EmbeddingError(f"kind mismatch: {source.kind} into {target.kind}")
@@ -463,37 +462,43 @@ def embedding_ranks(source, target) -> Iterator[tuple[int, ...]]:
     if k > n:
         return
     src, values = source.relation_values, target.relation_values
-    needs = [[] for _ in range(k)]  # needs[i]: (p, bit offset of the target rows for p-to-i)
+    src_rows = [source.relation_masks >> j * k & ((1 << k) - 1) for j in range(len(src) * k)]
+    needs = [[] for _ in range(k)]  # needs[i][p]: bit offset of the target rows for p-to-i
     for i in range(k):
         for p in range(i):
-            v = next(v for v in range(len(src)) if source.relation_masks >> (v * k + p) * k + i & 1)
+            v = next(v for v in range(len(src)) if src_rows[v * k + p] >> i & 1)
             if src[v] not in values:
                 return
-            needs[i].append((p, values.index(src[v]) * n * n))
-    masks, chosen = target.relation_masks, [0] * k
-
-    def walk(i: int, lo: int) -> Iterator[tuple[int, ...]]:
+            needs[i].append(values.index(src[v]) * n * n)
+    masks, full, rows = target.relation_masks, (1 << n) - 1, {}  # rows: split off on first use
+    chosen, pending, i = [0] * k, [], 0  # pending[i]: the ranks element i has yet to try
+    while True:
         if i == k:
             yield tuple(chosen)
+        else:
+            cand = (1 << (n - k + i + 1)) - (1 << (chosen[i - 1] + 1 if i else 0))
+            for p, offset in enumerate(needs[i]):
+                at = offset + chosen[p] * n
+                if at not in rows:
+                    rows[at] = masks >> at & full
+                cand &= rows[at]
+            pending.append(cand)
+        while pending and not pending[-1]:
+            pending.pop()
+        if not pending:
             return
-        cand = (1 << (n - k + i + 1)) - (1 << lo)  # ranks lo .. n-k+i
-        for p, offset in needs[i]:
-            cand &= masks >> offset + chosen[p] * n
-        while cand:
-            low = cand & -cand
-            chosen[i] = low.bit_length() - 1
-            yield from walk(i + 1, chosen[i] + 1)
-            cand ^= low
-
-    yield from walk(0, 0)
+        i = len(pending) - 1
+        low = pending[i] & -pending[i]
+        pending[i] ^= low
+        chosen[i] = low.bit_length() - 1
+        i += 1
 
 
 def enumerate_embeddings(source, target) -> Iterator[Embedding]:
     """Yield all embeddings of ``source`` into ``target`` exactly once,
     sorted lexicographically by image tuple (see :func:`embedding_ranks`)."""
-    src, image = source.universe, target.universe.__getitem__
     for ranks in embedding_ranks(source, target):
-        yield Embedding(source, target, tuple(zip(src, map(image, ranks))))
+        yield Embedding(source, target, ranks)
 
 
 def induced_substructure(s, subset: Iterable):
@@ -553,7 +558,7 @@ class Ball:
         return self.points <= other.points and self.radius_index <= other.radius_index
 
 
-def _distinct_balls(masks: list[list[int]]) -> list[tuple[int, int]]:
+def _distinct_balls(masks: tuple[tuple[int, ...], ...]) -> list[tuple[int, int]]:
     """The distinct (radius index, rank mask) pairs, by radius index then
     lowest rank."""
     return [(i, m) for i, row in enumerate(masks)
@@ -564,7 +569,7 @@ def balls(space: ConvUltrametricSpace) -> tuple[Ball, ...]:
     """All balls of the space as (point set, radius index) pairs,
     deduplicated on the pair and sorted by radius index then minimum point."""
     return tuple(Ball(_members(space.universe, m), i)
-                 for i, m in _distinct_balls(_ball_masks(space)))
+                 for i, m in _distinct_balls(space.ball_masks))
 
 
 def _tuple_points(poset: LinOrderedPoset, k: int, points, max_points: int, kind: str) -> list:
@@ -587,8 +592,7 @@ def _tuple_points(poset: LinOrderedPoset, k: int, points, max_points: int, kind:
         for entry in itertools.chain.from_iterable(pts):
             if entry not in poset.order:
                 raise DomainError(f"tuple entry {entry!r} is not a poset element")
-    return sorted(pts, key=functools.cmp_to_key(
-        lambda s, t: compare_tuples(poset.order, kind, s, t)))
+    return sorted(pts, key=lambda t: tuple_key(poset.order, kind, t))
 
 
 # ---------------------------------------------------------------------------

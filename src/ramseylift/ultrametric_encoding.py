@@ -15,14 +15,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, SpectrumError, VerificationError
-from .orders import LESS, compare_tuples
+from .orders import tuple_key
 from .structures import (
     DEFAULT_MAX_POINTS,
     Ball,
     ConvUltrametricSpace,
     Embedding,
     LinOrderedPoset,
-    _ball_masks,
     _distinct_balls,
     _members,
     check_embedding,
@@ -42,7 +41,7 @@ def _encode(space: ConvUltrametricSpace):
     """The ball poset, the balls keyed by (radius index, rank mask), and the
     ball masks of every point (``masks[i][r]``)."""
     checked_spectrum(space.spectrum)
-    masks = _ball_masks(space)
+    masks = space.ball_masks
     keys = _distinct_balls(masks)
     elems = [Ball(_members(space.universe, m), i) for i, m in keys]
     for (i, m), b in zip(keys, elems):
@@ -125,6 +124,7 @@ def phi_ultra(space: ConvUltrametricSpace, poset: LinOrderedPoset, u: Embedding)
     }
     if len(set(images.values())) != len(images):
         raise VerificationError("tuple images are not pairwise distinct")
+    key = {x: tuple_key(poset.order, "alex", t) for x, t in images.items()}
     for x, y in itertools.combinations(space.universe, 2):
         expected = space.d(x, y)
         got = _dist_raw(spect, images[x], images[y])
@@ -132,7 +132,7 @@ def phi_ultra(space: ConvUltrametricSpace, poset: LinOrderedPoset, u: Embedding)
             raise VerificationError(
                 f"distance of images of {x!r},{y!r} is {got}, expected {expected}"
             )
-        if compare_tuples(poset.order, "alex", images[x], images[y]) != LESS:
+        if not key[x] < key[y]:
             raise VerificationError(f"images of {x!r},{y!r} are not alex-increasing")
     return images
 

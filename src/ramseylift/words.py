@@ -202,32 +202,32 @@ def enumerate_words(alphabet: Alphabet, n: int, m: int, limit: int) -> Iterator[
     if m > n or n == 0:
         return
     letters = [letter_token(j) for j in range(len(alphabet))]
+
+    def options(pos: int, used: int) -> list[int]:
+        if m - used == n - pos:  # every remaining position must introduce a variable
+            return [var_token(used + 1)]
+        return [var_token(i) for i in range(1, min(used + 1, m) + 1)] + letters
+
     prefix: list[int] = []
+    used = [0]  # used[pos]: the variables introduced by prefix[:pos]
+    todo = [iter(options(0, 0))]  # todo[pos]: the untried tokens for position pos
     produced = 0
-
-    def walk(pos: int, used: int) -> Iterator[ParameterWord]:
-        nonlocal produced
-        if pos == n:
-            produced += 1
-            if produced > limit:
-                raise BudgetError(
-                    f"enumeration of W^{n}_{m} exceeded limit {limit}: "
-                    f"at least {produced} words exist"
-                )
-            yield ParameterWord(alphabet, m, tuple(prefix))
-            return
-        remaining = n - pos
-        must_introduce = (m - used) == remaining
-        if must_introduce:
-            candidates = [var_token(used + 1)]
-        else:
-            candidates = [var_token(i) for i in range(1, used + 1)]
-            if used < m:
-                candidates.append(var_token(used + 1))
-            candidates.extend(letters)
-        for tok in candidates:
-            prefix.append(tok)
-            yield from walk(pos + 1, used + 1 if is_var(tok) and tok > used else used)
-            prefix.pop()
-
-    yield from walk(0, 0)
+    while todo:
+        pos = len(todo) - 1
+        del prefix[pos:], used[pos + 1:]
+        tok = next(todo[pos], None)
+        if tok is None:
+            todo.pop()
+            continue
+        prefix.append(tok)
+        used.append(max(used[pos], tok))  # letters are negative, a fresh variable is used + 1
+        if pos + 1 < n:
+            todo.append(iter(options(pos + 1, used[pos + 1])))
+            continue
+        produced += 1
+        if produced > limit:
+            raise BudgetError(
+                f"enumeration of W^{n}_{m} exceeded limit {limit}: "
+                f"at least {produced} words exist"
+            )
+        yield ParameterWord(alphabet, m, tuple(prefix))

@@ -490,3 +490,33 @@ def test_word_base_refuses_an_object_shorter_than_the_encoded_pair(files, capsys
     assert code == 1
     assert error == {"type": "DomainError",
                      "message": f"no word with 2 parameters and length {c} exists"}
+
+
+# Long inputs: the word and embedding walks keep their own stacks, so a
+# word or structure longer than the interpreter's recursion limit is decided
+# like any other (these three used to end in a RecursionError traceback).
+
+
+def test_long_word_enumeration_is_refused_by_its_budget(capsys):
+    code, error = _error(capsys, "word", "enumerate", "--alphabet", "0", "-n", "1200",
+                         "-m", "1", "--limit", "5")
+    assert code == 2
+    assert error == {"type": "BudgetError", "message":
+                     "enumeration of W^1200_1 exceeded limit 5: at least 6 words exist"}
+
+
+def test_long_word_premise_is_refused_by_its_budget(files, capsys):
+    point = files("gpoint.json", {"kind": "graph", "universe": [1], "edges": []})
+    code, error = _error(capsys, "transfer-demo", "graph", "--D", point, "--E", point,
+                         "-k", "2", "--C", "1500")
+    assert code == 2
+    assert error == {"type": "BudgetError", "message":
+                     "enumeration of W^1500_1 exceeded limit 10000: at least 10001 words exist"}
+
+
+def test_embeddings_of_a_large_structure_into_itself(files, capsys):
+    n = 1100
+    big = files("big.json", {"kind": "graph", "universe": list(range(n)), "edges": []})
+    code, out = run_main(capsys, "structure", "embeddings", "--source", big, "--target", big)
+    assert code == 0
+    assert out.splitlines() == ["count: 1", " ".join(f"{v}->{v}" for v in range(n))]

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,11 +10,16 @@ from ramseylift.orders import (
     EQUAL,
     GREATER,
     LESS,
+    SUBSET_ORDER_KINDS,
+    TUPLE_ORDER_KINDS,
     BaseOrder,
     compare_subsets,
     compare_tuples,
     sort_subsets,
+    subset_key,
+    tuple_key,
 )
+from ramseylift.structures import LinOrderedPoset, _tuple_points
 
 L4 = BaseOrder(range(1, 5))
 L16 = BaseOrder(range(1, 17))
@@ -135,8 +142,6 @@ def test_incomparable_branch_never_needs_empty_conventions():
 @pytest.mark.parametrize("kind", ["lex", "alex"])
 @pytest.mark.parametrize("size,k", [(2, 4), (3, 3), (4, 4)])
 def test_tuple_orders_are_strict_total_orders(kind, size, k):
-    import functools
-
     order = BaseOrder(range(size))
     tuples = sorted(
         itertools.product(order.elements, repeat=k),
@@ -160,3 +165,66 @@ def test_tuple_lex_matches_builtin_comparison(a, b):
 def test_base_order_rejects_duplicates():
     with pytest.raises(DomainError):
         BaseOrder([1, 2, 2])
+
+
+# The comparators as they were before they compared keys: set differences
+# for subsets, an index walk for tuples.  The keys must order exactly alike.
+
+
+def _set_difference_compare(order, kind, a, b):
+    """Equality, containment, then the least or greatest rank of each difference."""
+    ra = frozenset(order.rank(x) for x in a)
+    rb = frozenset(order.rank(x) for x in b)
+    if ra == rb:
+        return EQUAL
+    if ra < rb:
+        return GREATER if kind == "clex" else LESS
+    if ra > rb:
+        return LESS if kind == "clex" else GREATER
+    only_a, only_b = ra - rb, rb - ra
+    if kind == "lex":
+        return LESS if min(only_b) < min(only_a) else GREATER
+    if kind == "alex":
+        return LESS if max(only_a) < max(only_b) else GREATER
+    return LESS if min(only_a) < min(only_b) else GREATER
+
+
+def _index_walk_compare(order, kind, a, b):
+    """The first differing index, from the left for lex, from the right for alex."""
+    indices = range(len(a)) if kind == "lex" else range(len(a) - 1, -1, -1)
+    for i in indices:
+        if a[i] != b[i]:
+            return LESS if order.rank(a[i]) < order.rank(b[i]) else GREATER
+    return EQUAL
+
+
+# declared out of the elements' natural order, so ranks differ from values
+SHUFFLED = BaseOrder(["d", "a", "e", "b", "c"])
+
+
+@pytest.mark.parametrize("kind", SUBSET_ORDER_KINDS)
+def test_subset_keys_match_set_difference_reference(kind):
+    subsets = all_subsets(SHUFFLED)
+    for a, b in itertools.product(subsets, repeat=2):
+        expected = _set_difference_compare(SHUFFLED, kind, a, b)
+        assert compare_subsets(SHUFFLED, kind, a, b) == expected
+        assert _cmp(subset_key(SHUFFLED, kind, a), subset_key(SHUFFLED, kind, b)) == expected
+    random.Random(f"orders:{kind}").shuffle(subsets)
+    assert sort_subsets(SHUFFLED, kind, subsets) == sorted(subsets, key=functools.cmp_to_key(
+        lambda a, b: _set_difference_compare(SHUFFLED, kind, a, b)))
+
+
+@pytest.mark.parametrize("kind", TUPLE_ORDER_KINDS)
+def test_tuple_keys_match_cmp_to_key_sort(kind):
+    poset = LinOrderedPoset.build(SHUFFLED.elements[:3], [])
+    order = poset.order
+    tuples = list(itertools.product(order.elements, repeat=3))
+    for a, b in itertools.product(tuples, repeat=2):
+        expected = _index_walk_compare(order, kind, a, b)
+        assert compare_tuples(order, kind, a, b) == expected
+        assert _cmp(tuple_key(order, kind, a), tuple_key(order, kind, b)) == expected
+    random.Random(f"orders:{kind}").shuffle(tuples)
+    expected = sorted(tuples, key=functools.cmp_to_key(
+        lambda a, b: _index_walk_compare(order, kind, a, b)))
+    assert _tuple_points(poset, 3, None, 27, kind) == expected
+    assert _tuple_points(poset, 3, tuples, 27, kind) == expected

@@ -20,6 +20,7 @@ from ramseylift.structures import (
     downsets,
     embedding_ranks,
     enumerate_embeddings,
+    format_rational,
     from_json,
     identity_embedding,
     induced_substructure,
@@ -159,11 +160,15 @@ def test_enumeration_matches_brute_force(selector):
 def test_walker_matches_brute_force_on_independent_pairs(selector):
     """Sources drawn independently of the target (often larger, or over
     another spectrum), or induced from it; the walker must list exactly the
-    brute-force embeddings, in the same lexicographic order."""
+    brute-force embeddings, in the same lexicographic order.  Every other
+    target graph declares its vertices in reverse, so that vertex values
+    and ranks run opposite ways."""
     rng = random.Random(f"structures:walker:{selector}")
     sizes = {"found": 0, "empty": 0, "larger": 0}
-    for _ in range(60):
+    for trial in range(60):
         tgt = random_structure(rng, selector)
+        if selector == "graph" and trial % 2:
+            tgt = LinOrderedGraph.build(tgt.universe[::-1], map(tuple, tgt.edges))
         if rng.random() < 0.5:
             src = random_structure(rng, selector)
         else:
@@ -219,36 +224,81 @@ def test_walker_compares_spaces_over_different_denominators():
     assert list(embedding_ranks(ultra_src, ultra_tgt)) == [(0, 2), (1, 2)]
 
 
-def _pairwise_poset_clause(source, target, m):
-    """The poset clause of check_embedding as a hashed lookup per ordered
-    pair of source elements: the first mismatch names its clause and pair."""
-    for a in source.universe:
-        for b in source.universe:
-            here, there = source.below(a, b), target.below(m[a], m[b])
+def _pairwise_clause(source, target, m):
+    """The relation clause of check_embedding as it was before it read
+    relation masks: one loop per kind over pairs of source elements, with
+    hashed edge and order lookups and Fraction distances.  The first
+    mismatch names its clause and pair."""
+    uni = source.universe
+    if source.kind == "graph":
+        for a, b in itertools.combinations(uni, 2):
+            here = frozenset((a, b)) in source.edges
+            there = frozenset((m[a], m[b])) in target.edges
             if here != there:
-                return f"partial order not {'preserved' if here else 'reflected'} on ({a!r},{b!r})"
+                return f"adjacency not {'preserved' if here else 'reflected'} on ({a!r},{b!r})"
+    elif source.kind == "poset":
+        for a in uni:
+            for b in uni:
+                here, there = source.below(a, b), target.below(m[a], m[b])
+                if here != there:
+                    clause = "preserved" if here else "reflected"
+                    return f"partial order not {clause} on ({a!r},{b!r})"
+    else:
+        for a, b in itertools.combinations(uni, 2):
+            here, there = source.d(a, b), target.d(m[a], m[b])
+            if here != there:
+                return (f"distance not preserved on ({a!r},{b!r}): "
+                        f"{format_rational(here)} vs {format_rational(there)}")
     return None
 
 
-def test_check_embedding_poset_clause_matches_pairwise_reference():
-    rng = random.Random("structures:check-poset")
+def _over_attained_spectrum(s):
+    """The same space with its spectrum rebuilt from the attained distances,
+    so that it can differ from the space it was induced from."""
+    data = to_json(s)
+    del data["spectrum"]
+    return from_json(data)
+
+
+@pytest.mark.parametrize("selector", ["graph", "poset", "ultrametric", "metric"])
+def test_check_embedding_relation_clause_matches_pairwise_reference(selector):
+    """Order-preserving injective maps from independent or induced sources
+    (for spaces, also over another spectrum with other denominators): the
+    mask clause accepts exactly what the pairwise loop accepts, and
+    otherwise raises its message."""
+    rng = random.Random(f"structures:check:{selector}")
     checked = {"accepted": 0, "preserved": 0, "reflected": 0}
+    spectra = 0
     for _ in range(400):
-        tgt = random_structure(rng, "poset")
-        src = random_structure(rng, "poset")
+        tgt = random_structure(rng, selector)
+        if rng.random() < 0.5:
+            src = random_structure(rng, selector)
+        else:
+            keep = rng.sample(list(tgt.universe), rng.randint(1, len(tgt.universe)))
+            src = induced_substructure(tgt, keep)
+            if selector in ("ultrametric", "metric") and rng.random() < 0.5:
+                src = _over_attained_spectrum(src)
         if len(src.universe) > len(tgt.universe):
             continue
+        spectra += getattr(src, "spectrum", None) != getattr(tgt, "spectrum", None)
         image = sorted(rng.sample(list(tgt.universe), len(src.universe)), key=tgt.order.rank)
+        if rng.random() < 0.5 and set(src.universe) <= set(tgt.universe):
+            image = list(src.universe)  # the inclusion map of an induced source
         m = dict(zip(src.universe, image))
-        expected = _pairwise_poset_clause(src, tgt, m)
+        expected = _pairwise_clause(src, tgt, m)
         if expected is None:
-            assert check_embedding(m, src, tgt).mapping == tuple(m.items())
+            f = check_embedding(m, src, tgt)
+            assert f.mapping == tuple(m.items())
+            assert f.ranks == tuple(tgt.order.rank(y) for y in image)
             checked["accepted"] += 1
         else:
             with pytest.raises(EmbeddingError) as err:
                 check_embedding(m, src, tgt)
             assert str(err.value) == expected
-            checked["preserved" if "preserved" in expected else "reflected"] += 1
+            checked["reflected" if "reflected" in expected else "preserved"] += 1
+    if selector in ("ultrametric", "metric"):
+        del checked["reflected"]  # a distance clause has one direction
+        assert spectra > 50
     assert min(checked.values()) > 10, checked
 
 
