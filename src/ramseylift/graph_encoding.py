@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, VerificationError
 from .orders import BaseOrder, sort_subsets, subset_key
-from .structures import LinOrderedGraph, Embedding
+from .structures import LinOrderedGraph, Embedding, _memo_recent
 from .words import ParameterWord, compose, letter_token, validate, variable_positions
 
 
@@ -28,6 +28,7 @@ class GraphEncoding:
         return len(self.graph.universe) + len(self.edge_order)
 
 
+@_memo_recent
 def encode_graph(g: LinOrderedGraph) -> GraphEncoding:
     """Fix the canonical edge order and the encoded object size n+m."""
     return GraphEncoding(g, tuple(sort_subsets(g.order, "clex", g.edges)))
@@ -41,11 +42,7 @@ def phi_graph(g: LinOrderedGraph, u: ParameterWord) -> dict:
     strictly increasing in the clex order, i.e. that the map is an
     embedding into the subset graph on {1..N}.
     """
-    return _phi_graph(encode_graph(g), u)
-
-
-def _phi_graph(enc: GraphEncoding, u: ParameterWord) -> dict:
-    g = enc.graph
+    enc = encode_graph(g)
     n = len(g.universe)
     if u.m != enc.object:
         raise DomainError(
@@ -106,7 +103,7 @@ def witness_graph(
         hit = [i for i, blk in enumerate(blocks) if part <= blk]
         symbols.append(hit[0] + 1 if hit else blank)
     h = validate(symbols, u.alphabet, p + q)
-    check = _phi_graph(enc2, compose(u, h))
+    check = phi_graph(g2, compose(u, h))
     for v in g2.universe:
         if check[v] != u_hat[f(v)]:
             raise VerificationError(

@@ -27,6 +27,7 @@ from .structures import (
     Embedding,
     LinOrderedMetricSpace,
     LinOrderedPoset,
+    _memo_recent,
     check_embedding,
     checked_spectrum,
     _tuple_points,
@@ -43,7 +44,11 @@ class TightSpectrum:
 
 def is_tight(values) -> bool:
     """Whether s_{i+j} <= s_i + s_j for all 1 <= i <= j with i+j <= k."""
-    vals = checked_spectrum(values)
+    return _is_tight(checked_spectrum(values))
+
+
+def _is_tight(vals: tuple[Fraction, ...]) -> bool:
+    """:func:`is_tight` on a spectrum :func:`checked_spectrum` already returned."""
     k = len(vals) - 1
     for i in range(1, k + 1):
         for j in range(i, k - i + 1):
@@ -54,7 +59,7 @@ def is_tight(values) -> bool:
 
 def tight_spectrum(values) -> TightSpectrum:
     vals = checked_spectrum(values)
-    return TightSpectrum(vals, is_tight(vals))
+    return TightSpectrum(vals, _is_tight(vals))
 
 
 def tight_complete(values, step_cap: int = COMPLETION_STEP_CAP) -> TightSpectrum:
@@ -96,6 +101,7 @@ def tight_complete(values, step_cap: int = COMPLETION_STEP_CAP) -> TightSpectrum
 # encoding
 
 
+@_memo_recent
 def encode_metric(space: LinOrderedMetricSpace) -> LinOrderedPoset:
     """The poset on (point, level) pairs for levels 0..k.
 
@@ -133,7 +139,7 @@ def dist_metric_tuples(poset: LinOrderedPoset, spectrum, a: tuple, b: tuple) -> 
     """Distance between two k-tuples over the poset; refuses a non-tight
     spectrum since the triangle inequality would then be unproven."""
     spect = checked_spectrum(spectrum)
-    if not is_tight(spect):
+    if not _is_tight(spect):
         raise SpectrumError("tuple distance requires a tight spectrum")
     for entry in itertools.chain(a, b):
         if entry not in poset.order:
@@ -151,7 +157,7 @@ def decode_poset_metric(
     subset, ordered lexicographically.  Validates the metric axioms of
     whatever is materialized; refuses non-tight spectra."""
     spect = checked_spectrum(spectrum)
-    if not is_tight(spect):
+    if not _is_tight(spect):
         raise SpectrumError("tuple space requires a tight spectrum")
     pts = _tuple_points(poset, len(spect) - 1, points, max_points, "lex")
     dist = {
@@ -171,7 +177,7 @@ def phi_metric(space: LinOrderedMetricSpace, poset: LinOrderedPoset, u: Embeddin
     if u.source != level_poset or u.target != poset:
         raise DomainError("phi requires an embedding of the space's level poset into the target poset")
     spect = checked_spectrum(space.spectrum)
-    if not is_tight(spect):
+    if not _is_tight(spect):
         raise SpectrumError("phi requires a tight spectrum")
     k = len(spect) - 1
     images = {x: tuple(u((x, i)) for i in range(k)) for x in space.universe}

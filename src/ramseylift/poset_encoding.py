@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, VerificationError
 from .orders import BaseOrder, sort_subsets, subset_key
-from .structures import Embedding, LinOrderedPoset, downsets
+from .structures import Embedding, LinOrderedPoset, _memo_recent, downsets
 from .words import ParameterWord, compose, letter_token, validate, variable_positions
 
 
@@ -30,6 +30,7 @@ class PosetEncoding:
         return len(self.downsets)
 
 
+@_memo_recent
 def encode_poset(p: LinOrderedPoset) -> PosetEncoding:
     return PosetEncoding(p, downsets(p))
 
@@ -42,11 +43,7 @@ def phi_poset(p: LinOrderedPoset, u: ParameterWord) -> dict:
     set-incomparable sets, and the linear order to strictly clex-increasing
     images.
     """
-    return _phi_poset(encode_poset(p), u)
-
-
-def _phi_poset(enc: PosetEncoding, u: ParameterWord) -> dict:
-    p = enc.poset
+    enc = encode_poset(p)
     if u.m != enc.object:
         raise DomainError(
             f"word has {u.m} parameters but the poset encodes to object {enc.object}"
@@ -111,8 +108,8 @@ def witness_poset(
             )
         symbols.append(j + 1)
     h = validate(symbols, u.alphabet, enc2.object)
-    u_hat = _phi_poset(enc, u)
-    check = _phi_poset(enc2, compose(u, h))
+    u_hat = phi_poset(p, u)
+    check = phi_poset(p2, compose(u, h))
     for b in p2.universe:
         if check[b] != u_hat[f(b)]:
             raise VerificationError(

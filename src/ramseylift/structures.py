@@ -8,10 +8,12 @@ downsets and embeddings work on ranks: a relation as per-rank bitmasks
 (``relation_masks``; a poset's are the up rows its validation found),
 distances as integers over their common denominator (``scaled``), balls as
 rank bitmasks (``ball_masks``), an embedding as the tuple of its target
-ranks.  Each structure derives these views once and caches them.
-Construction through the ``build`` classmethods or :func:`from_json`
-validates every axiom; the raw dataclass constructors are unchecked so that
-tests can exercise the validators.
+ranks.  Each structure derives these views once and caches them, and each
+encoder remembers its last four structures (:func:`_memo_recent`).  A
+:class:`Ball` is a named tuple ``(points, radius_index)``.  Construction
+through the ``build`` classmethods or :func:`from_json` validates every
+axiom; the raw dataclass constructors are unchecked so that tests can
+exercise the validators.
 """
 
 from __future__ import annotations
@@ -20,13 +22,34 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Hashable, Iterable, Iterator, Mapping
+from functools import cached_property, wraps
+from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import BudgetError, DomainError, EmbeddingError, SpectrumError, StructureError
 from .orders import BaseOrder, tuple_key
 
 DEFAULT_MAX_POINTS = 4096  # largest tuple space the decoders build by default
+_MEMO_SIZE = 4  # structures each encoder remembers; a phi/witness chain touches two
+
+
+def _memo_recent(encode):
+    """Decorate a one-structure encoder to return its stored result for the
+    last ``_MEMO_SIZE`` structures it encoded.  Keys compare with ``is`` and
+    are held strongly, so no id is reused while its entry lives; structures
+    are immutable, so a stored result is what a fresh call would build."""
+    recent = ()  # (structure, result) pairs, newest first; replaced whole, never mutated
+
+    @wraps(encode)
+    def encode_recent(s):
+        nonlocal recent
+        for key, result in recent:
+            if key is s:
+                return result
+        result = encode(s)
+        recent = ((s, result),) + recent[:_MEMO_SIZE - 1]
+        return result
+
+    return encode_recent
 
 
 def parse_rational(value) -> Fraction:
@@ -542,13 +565,14 @@ def downsets(p: LinOrderedPoset) -> tuple[frozenset, ...]:
     return tuple(_members(p.universe, d) for d in sorted(found[1:]))
 
 
-@dataclass(frozen=True)
-class Ball:
+class Ball(NamedTuple):
     """A ball of an ultrametric space, identified by the pair
     (point set, nominal radius index into the spectrum).
 
     The same point set can arise at two radii; keeping the index makes
-    the componentwise partial order on balls antisymmetric.
+    the componentwise partial order on balls antisymmetric.  As a named
+    tuple a ball hashes and compares in C; it equals the plain tuple
+    ``(points, radius_index)`` and orders like one.
     """
 
     points: frozenset

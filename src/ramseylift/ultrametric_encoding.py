@@ -1,11 +1,13 @@
 """Encoding of convexly ordered ultrametric spaces into ordered posets.
 
 A space with spectrum ``0 = s_0 < ... < s_k`` encodes to the poset of its
-balls (as (point set, radius index) pairs) under the componentwise order,
-linearly ordered by radius then leftmost point.  Conversely a poset A
-yields a space on the k-tuples over A where the distance between two
-tuples is s_j for the least j such that they agree from index j on
-(s_k when they disagree at the last index), ordered anti-lexicographically.
+balls (``Ball``, the named tuple (point set, radius index)) under the
+componentwise order, linearly ordered by radius then leftmost point; the
+last four spaces' encodings are remembered, so ``phi_ultra`` and
+``witness_ultra`` reuse the one their caller just built.  Conversely a
+poset A yields a space on the k-tuples over A where the distance between
+two tuples is s_j for the least j such that they agree from index j on (s_k
+when they disagree at the last index), ordered anti-lexicographically.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .structures import (
     LinOrderedPoset,
     _distinct_balls,
     _members,
+    _memo_recent,
     check_embedding,
     checked_spectrum,
     _tuple_points,
@@ -37,9 +40,11 @@ class BallPoset:
     poset: LinOrderedPoset  # elements are Ball values in radius-then-leftmost order
 
 
+@_memo_recent
 def _encode(space: ConvUltrametricSpace):
     """The ball poset, the balls keyed by (radius index, rank mask), and the
-    ball masks of every point (``masks[i][r]``)."""
+    ball masks of every point (``masks[i][r]``); remembered for the last few
+    spaces, so callers share the dict and must not change it."""
     checked_spectrum(space.spectrum)
     masks = space.ball_masks
     keys = _distinct_balls(masks)

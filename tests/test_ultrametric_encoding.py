@@ -1,14 +1,17 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from ramseylift.cli import _render
 from ramseylift.errors import BudgetError, DomainError, SpectrumError
 from ramseylift.harness import random_embedded_pair, random_superposet_embedding
 from ramseylift.structures import (
     Ball,
     ConvUltrametricSpace,
+    balls,
     check_embedding,
     compose_embeddings,
     enumerate_embeddings,
@@ -185,3 +188,33 @@ def test_reduce_spectrum():
 
 def test_point_ball_pair():
     assert point_ball_pair(ULTRA3, "a", 1) == Ball(frozenset({"a", "b"}), 1)
+
+
+def test_ball_repr_is_pinned():
+    assert repr(Ball(frozenset({1, 2}), 0)) == "Ball(points=frozenset({1, 2}), radius_index=0)"
+    assert repr(Ball(frozenset({"a"}), 1)) == "Ball(points=frozenset({'a'}), radius_index=1)"
+
+
+def test_balls_in_sets_and_dicts():
+    pair, also_pair = Ball(frozenset({"a", "b"}), 1), Ball(frozenset({"b", "a"}), 1)
+    assert pair == also_pair and pair is not also_pair and hash(pair) == hash(also_pair)
+    assert Ball(frozenset({"a", "b"}), 2) != pair  # one point set at two radii
+    assert len({pair, also_pair, Ball(frozenset({"a", "b"}), 2)}) == 2
+    index = {b: i for i, b in enumerate(balls(ULTRA3))}
+    assert len(index) == 6
+    for b, i in list(index.items()):
+        assert index[Ball(frozenset(b.points), b.radius_index)] == i
+
+
+def test_ball_is_a_tuple():
+    b = Ball(frozenset({"a"}), 1)
+    assert b == (frozenset({"a"}), 1) and hash(b) == hash((frozenset({"a"}), 1))
+    assert b.points == b[0] and b.radius_index == b[1]
+    assert Ball(frozenset({"a"}), 0).leq(b) and not b.leq(Ball(frozenset({"a"}), 0))
+
+
+def test_ball_renders_to_the_same_json():
+    b = Ball(frozenset({2, 1}), 1)
+    assert json.dumps(_render(b), sort_keys=True) == '{"points": [1, 2], "radius_index": 1}'
+    assert _render((b, Ball(frozenset({3}), 0))) == [
+        {"points": [1, 2], "radius_index": 1}, {"points": [3], "radius_index": 0}]
