@@ -21,12 +21,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetError, DomainError, SpectrumError, VerificationError
-from .orders import tuple_key
 from .structures import (
     DEFAULT_MAX_POINTS,
     Embedding,
     LinOrderedMetricSpace,
     LinOrderedPoset,
+    _check_tuple_images,
     _memo_recent,
     check_embedding,
     checked_spectrum,
@@ -57,19 +57,14 @@ def _is_tight(vals: tuple[Fraction, ...]) -> bool:
     return True
 
 
-def tight_spectrum(values) -> TightSpectrum:
-    vals = checked_spectrum(values)
-    return TightSpectrum(vals, _is_tight(vals))
-
-
-def tight_complete(values, step_cap: int = COMPLETION_STEP_CAP) -> TightSpectrum:
+def tight_complete(values) -> TightSpectrum:
     """Complete a sorted rational set to a tight superset.
 
     Starts from t_0 = 0, t_1 = s_1 and repeatedly appends either the next
     original value or, when that would overshoot, the smallest pairwise sum
     m = min(t_a + t_b : a + b = next index).  The result keeps the first
     and last nonzero original values as its own.  The loop provably
-    terminates; ``step_cap`` turns a would-be bug into an error.
+    terminates; ``COMPLETION_STEP_CAP`` turns a would-be bug into an error.
     """
     vals = checked_spectrum(values)
     if len(vals) < 2:
@@ -81,8 +76,8 @@ def tight_complete(values, step_cap: int = COMPLETION_STEP_CAP) -> TightSpectrum
     steps = 0
     while covered < k:
         steps += 1
-        if steps > step_cap:
-            raise BudgetError(f"tight completion exceeded {step_cap} steps")
+        if steps > COMPLETION_STEP_CAP:
+            raise BudgetError(f"tight completion exceeded {COMPLETION_STEP_CAP} steps")
         i = len(t) - 1
         m = min(t[a] + t[i + 1 - a] for a in range(1, i // 2 + 2) if a <= i + 1 - a)
         nxt = s[covered + 1]
@@ -109,7 +104,7 @@ def encode_metric(space: LinOrderedMetricSpace) -> LinOrderedPoset:
     ``(x,i) below (y,j) iff i <= j and d(x,y) <= s_j - s_i`` is a partial
     order for any spectrum, tight or not.
     """
-    k = len(checked_spectrum(space.spectrum)) - 1
+    k = len(space.spectrum) - 1
     dist, spect = space.scaled
     n = len(space.universe)
     elems = [(x, i) for i in range(k + 1) for x in space.universe]
@@ -176,21 +171,13 @@ def phi_metric(space: LinOrderedMetricSpace, poset: LinOrderedPoset, u: Embeddin
     level_poset = encode_metric(space)
     if u.source != level_poset or u.target != poset:
         raise DomainError("phi requires an embedding of the space's level poset into the target poset")
-    spect = checked_spectrum(space.spectrum)
+    spect = space.spectrum
     if not _is_tight(spect):
         raise SpectrumError("phi requires a tight spectrum")
     k = len(spect) - 1
     images = {x: tuple(u((x, i)) for i in range(k)) for x in space.universe}
-    key = {x: tuple_key(poset.order, "lex", t) for x, t in images.items()}
-    for x, y in itertools.combinations(space.universe, 2):
-        expected = space.d(x, y)
-        got = _dist_tuples_raw(poset, spect, images[x], images[y])
-        if got != expected:
-            raise VerificationError(
-                f"distance of images of {x!r},{y!r} is {got}, expected {expected}"
-            )
-        if not key[x] < key[y]:
-            raise VerificationError(f"images of {x!r},{y!r} are not lex-increasing")
+    _check_tuple_images(space, poset, images, "lex",
+                        lambda a, b: _dist_tuples_raw(poset, spect, a, b))
     return images
 
 

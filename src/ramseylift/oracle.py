@@ -112,13 +112,6 @@ class Coloring:
             if not 1 <= c <= self.k:
                 raise DomainError(f"color {c} out of range 1..{self.k}")
 
-    @classmethod
-    def from_mapping(cls, assignment, hom_ac: Sequence, k: int) -> "Coloring":
-        missing = [m for m in hom_ac if m not in assignment]
-        if missing:
-            raise DomainError(f"coloring is not total: {len(missing)} morphisms uncolored")
-        return cls(tuple(assignment[m] for m in hom_ac), k)
-
 
 @dataclass
 class ArrowVerdict:
@@ -298,21 +291,19 @@ def decide_arrow(instance: ArrowInstance, budget: Budget = DEFAULT_BUDGET) -> Ar
 
 def check_coloring(
     instance: ArrowInstance,
-    coloring,
+    coloring: Coloring,
     budget: Budget = DEFAULT_BUDGET,
 ) -> tuple[ArrowVerdict, list[dict]]:
-    """Hunt for a monochromatic candidate under one specific coloring.
+    """Hunt for a monochromatic candidate under one specific coloring of
+    hom(A, C), given in its enumeration order.
 
-    Accepts a Coloring or a mapping from morphisms of hom(A, C) to colors.
     Returns the verdict (with the witness when found) and, per candidate,
     the sorted list of color classes its composites meet.
     """
-    cat, k = instance.category, instance.k
+    cat = instance.category
     hom_ac = cat.hom(instance.A, instance.C, budget)
     hom_bc = cat.hom(instance.B, instance.C, budget)
     hom_ab = cat.hom(instance.A, instance.B, budget)
-    if not isinstance(coloring, Coloring):
-        coloring = Coloring.from_mapping(dict(coloring), hom_ac, k)
     if len(coloring.colors) != len(hom_ac):
         raise DomainError(
             f"coloring covers {len(coloring.colors)} morphisms, hom(A,C) has {len(hom_ac)}"

@@ -26,6 +26,7 @@ from functools import cached_property, wraps
 from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import BudgetError, DomainError, EmbeddingError, SpectrumError, StructureError
+from .errors import VerificationError
 from .orders import BaseOrder, tuple_key
 
 DEFAULT_MAX_POINTS = 4096  # largest tuple space the decoders build by default
@@ -74,9 +75,11 @@ def format_rational(q: Fraction) -> str:
 
 
 def checked_spectrum(values) -> tuple[Fraction, ...]:
-    """Parse a distance spectrum, which must start at 0 and strictly increase."""
+    """Parse a distance spectrum, which must be nonempty, start at 0 and strictly increase."""
     vals = tuple(parse_rational(v) for v in values)
-    if not vals or vals[0] != 0:
+    if not vals:
+        raise SpectrumError("spectrum must be nonempty")
+    if vals[0] != 0:
         raise SpectrumError("spectrum must start at 0")
     if any(not a < b for a, b in zip(vals, vals[1:])):
         raise SpectrumError("spectrum must be strictly increasing")
@@ -270,16 +273,6 @@ class LinOrderedMetricSpace(_SpaceMixin):
 # validation
 
 
-def _validate_spectrum(spectrum: tuple[Fraction, ...]) -> None:
-    if not spectrum:
-        raise StructureError("spectrum must be nonempty")
-    if spectrum[0] != 0:
-        raise StructureError("spectrum must start at 0")
-    for a, b in zip(spectrum, spectrum[1:]):
-        if not a < b:
-            raise StructureError("spectrum must be strictly increasing")
-
-
 def _validate_metric_axioms(space, strong: bool) -> None:
     pts = space.universe
     dist, _ = space.scaled
@@ -367,7 +360,10 @@ def validate_structure(s) -> dict:
         s.relation_masks  # computing the masks validates the poset
         return {"kind": kind, "size": len(s.order), "relation_pairs": len(s.leq)}
     if kind in ("ultrametric", "metric"):
-        _validate_spectrum(s.spectrum)
+        try:
+            checked_spectrum(s.spectrum)
+        except SpectrumError as exc:
+            raise StructureError(str(exc)) from None
         _validate_metric_axioms(s, strong=(kind == "ultrametric"))
         if kind == "ultrametric":
             _validate_convexity(s)
@@ -617,6 +613,21 @@ def _tuple_points(poset: LinOrderedPoset, k: int, points, max_points: int, kind:
             if entry not in poset.order:
                 raise DomainError(f"tuple entry {entry!r} is not a poset element")
     return sorted(pts, key=lambda t: tuple_key(poset.order, kind, t))
+
+
+def _check_tuple_images(space, poset: LinOrderedPoset, images: dict, kind: str, dist) -> None:
+    """Raise unless the tuple images keep every distance, measured by
+    ``dist`` on two images, and strictly increase under the tuple order ``kind``."""
+    key = {x: tuple_key(poset.order, kind, t) for x, t in images.items()}
+    for x, y in itertools.combinations(space.universe, 2):
+        expected = space.d(x, y)
+        got = dist(images[x], images[y])
+        if got != expected:
+            raise VerificationError(
+                f"distance of images of {x!r},{y!r} is {got}, expected {expected}"
+            )
+        if not key[x] < key[y]:
+            raise VerificationError(f"images of {x!r},{y!r} are not {kind}-increasing")
 
 
 # ---------------------------------------------------------------------------

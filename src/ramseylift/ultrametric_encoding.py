@@ -17,13 +17,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, SpectrumError, VerificationError
-from .orders import tuple_key
 from .structures import (
     DEFAULT_MAX_POINTS,
     Ball,
     ConvUltrametricSpace,
     Embedding,
     LinOrderedPoset,
+    _check_tuple_images,
     _distinct_balls,
     _members,
     _memo_recent,
@@ -45,7 +45,6 @@ def _encode(space: ConvUltrametricSpace):
     """The ball poset, the balls keyed by (radius index, rank mask), and the
     ball masks of every point (``masks[i][r]``); remembered for the last few
     spaces, so callers share the dict and must not change it."""
-    checked_spectrum(space.spectrum)
     masks = space.ball_masks
     keys = _distinct_balls(masks)
     elems = [Ball(_members(space.universe, m), i) for i, m in keys]
@@ -129,16 +128,7 @@ def phi_ultra(space: ConvUltrametricSpace, poset: LinOrderedPoset, u: Embedding)
     }
     if len(set(images.values())) != len(images):
         raise VerificationError("tuple images are not pairwise distinct")
-    key = {x: tuple_key(poset.order, "alex", t) for x, t in images.items()}
-    for x, y in itertools.combinations(space.universe, 2):
-        expected = space.d(x, y)
-        got = _dist_raw(spect, images[x], images[y])
-        if got != expected:
-            raise VerificationError(
-                f"distance of images of {x!r},{y!r} is {got}, expected {expected}"
-            )
-        if not key[x] < key[y]:
-            raise VerificationError(f"images of {x!r},{y!r} are not alex-increasing")
+    _check_tuple_images(space, poset, images, "alex", lambda a, b: _dist_raw(spect, a, b))
     return images
 
 

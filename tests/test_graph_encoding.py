@@ -3,7 +3,7 @@ import random
 import pytest
 
 from ramseylift import fixtures
-from ramseylift.errors import DomainError
+from ramseylift.errors import DomainError, VerificationError
 from ramseylift.graph_encoding import (
     encode_graph,
     graph_on_subsets,
@@ -11,14 +11,23 @@ from ramseylift.graph_encoding import (
     powerset_graph,
     witness_graph,
 )
-from ramseylift.harness import random_embedded_pair, random_word
+from ramseylift.harness import random_embedded_pair, random_word, selector_impl
 from ramseylift.structures import (
     LinOrderedGraph,
     check_embedding,
     enumerate_embeddings,
     identity_embedding,
 )
-from ramseylift.words import Alphabet, compose, enumerate_words, identity, parse
+from ramseylift.words import (
+    Alphabet,
+    compose,
+    enumerate_words,
+    identity,
+    letter_token,
+    parse,
+    validate,
+    variable_positions,
+)
 
 from util import all_graphs_on
 
@@ -26,6 +35,47 @@ A0 = Alphabet(["0"])
 G = fixtures.GRAPH
 G2 = fixtures.SUBGRAPH
 U = parse(fixtures.WORD_TEXT, A0)
+
+
+def ref_witness_graph(g, g2, f, u):
+    """The block construction, kept as the reference for ``witness_graph``.
+
+    Edge parts first: the (p+j)-th block is the intersection of the images
+    of the endpoints of the j-th edge of ``g2``; vertex blocks are what is
+    left of each vertex image.  ``h`` sends the l-th variable slot of ``u``
+    to ``x_i`` when the l-th block of ``u`` lies inside block i, and to a
+    letter otherwise.  The result is validated as a parameter word and the
+    factorization ``phi(g, u) after f == phi(g2, u.h)`` is checked exactly.
+    """
+    if f.source != g2 or f.target != g:
+        raise DomainError("witness requires an embedding of the second graph into the first")
+    if not u.alphabet.letters:
+        raise DomainError("witness construction needs at least one letter for the blanks")
+    u_hat = phi_graph(g, u)
+    enc2 = encode_graph(g2)
+    p = len(g2.universe)
+    q = len(enc2.edge_order)
+    blocks: list[frozenset] = [frozenset()] * (p + q)
+    for j, e in enumerate(enc2.edge_order):
+        vi, vk = sorted(e, key=g2.order.rank)
+        blocks[p + j] = u_hat[f(vi)] & u_hat[f(vk)]
+    edge_union = frozenset().union(*blocks[p:]) if q else frozenset()
+    for i, v in enumerate(g2.universe):
+        blocks[i] = u_hat[f(v)] - edge_union
+    blank = letter_token(0)
+    symbols = []
+    for l in range(1, u.m + 1):
+        part = variable_positions(u, l)
+        hit = [i for i, blk in enumerate(blocks) if part <= blk]
+        symbols.append(hit[0] + 1 if hit else blank)
+    h = validate(symbols, u.alphabet, p + q)
+    check = phi_graph(g2, compose(u, h))
+    for v in g2.universe:
+        if check[v] != u_hat[f(v)]:
+            raise VerificationError(
+                f"factorization fails at vertex {v!r}: {sorted(check[v])} vs {sorted(u_hat[f(v)])}"
+            )
+    return h
 
 
 def test_encode_objects():
@@ -121,6 +171,17 @@ def test_factorization_random_instances():
         lhs = phi_graph(D, u)
         rhs = phi_graph(E, compose(u, h))
         assert all(rhs[x] == lhs[f(x)] for x in E.universe)
+
+
+def test_witness_matches_the_block_construction():
+    rng = random.Random("graph:witness-reference")
+    impl = selector_impl("graph")
+    for _ in range(2000):
+        D, E = random_embedded_pair(rng, "graph")
+        f = rng.choice(list(enumerate_embeddings(E, D)))
+        u = impl.random_u(rng, D)
+        h, ref = witness_graph(D, E, f, u), ref_witness_graph(D, E, f, u)
+        assert (h.symbols, h.m) == (ref.symbols, ref.m)
 
 
 def test_powerset_graph_shape():

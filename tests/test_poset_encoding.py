@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from ramseylift.errors import DomainError
-from ramseylift.harness import random_embedded_pair, random_word
+from ramseylift.errors import DomainError, VerificationError
+from ramseylift.harness import random_embedded_pair, random_word, selector_impl
 from ramseylift.poset_encoding import (
     encode_poset,
     phi_poset,
@@ -18,7 +18,15 @@ from ramseylift.structures import (
     enumerate_embeddings,
     identity_embedding,
 )
-from ramseylift.words import Alphabet, compose, enumerate_words, identity, parse
+from ramseylift.words import (
+    Alphabet,
+    compose,
+    enumerate_words,
+    identity,
+    letter_token,
+    parse,
+    validate,
+)
 
 from util import all_posets_on
 
@@ -26,6 +34,44 @@ A0 = Alphabet(["0"])
 CHAIN2 = LinOrderedPoset.build([1, 2], [(1, 2)])
 ANTI2 = LinOrderedPoset.build([1, 2], [])
 POINT = LinOrderedPoset.build([1], [])
+
+
+def ref_witness_poset(p, p2, f, u):
+    """The downset preimage loop over element sets, kept as the reference
+    for ``witness_poset``."""
+    if f.source != p2 or f.target != p:
+        raise DomainError("witness requires an embedding of the second poset into the first")
+    if not u.alphabet.letters:
+        raise DomainError("witness construction needs at least one letter for the blanks")
+    enc = encode_poset(p)
+    enc2 = encode_poset(p2)
+    if u.m != enc.object:
+        raise DomainError(
+            f"word has {u.m} parameters but the poset encodes to object {enc.object}"
+        )
+    index2 = {dset: j for j, dset in enumerate(enc2.downsets)}
+    symbols = []
+    for dset in enc.downsets:
+        preimage = frozenset(b for b in p2.universe if f(b) in dset)
+        if not preimage:
+            symbols.append(letter_token(0))
+            continue
+        j = index2.get(preimage)
+        if j is None:
+            raise VerificationError(
+                f"preimage {sorted(preimage)!r} of a downset is not a downset of the subposet"
+            )
+        symbols.append(j + 1)
+    h = validate(symbols, u.alphabet, enc2.object)
+    u_hat = phi_poset(p, u)
+    check = phi_poset(p2, compose(u, h))
+    for b in p2.universe:
+        if check[b] != u_hat[f(b)]:
+            raise VerificationError(
+                f"factorization fails at element {b!r}: "
+                f"{sorted(check[b])} vs {sorted(u_hat[f(b)])}"
+            )
+    return h
 
 
 def test_encode_examples():
@@ -99,6 +145,17 @@ def test_factorization_random_instances():
         lhs = phi_poset(D, u)
         rhs = phi_poset(E, compose(u, h))
         assert all(rhs[x] == lhs[f(x)] for x in E.universe)
+
+
+def test_witness_matches_the_preimage_loop():
+    rng = random.Random("poset:witness-reference")
+    impl = selector_impl("poset")
+    for _ in range(2000):
+        D, E = random_embedded_pair(rng, "poset")
+        f = rng.choice(list(enumerate_embeddings(E, D)))
+        u = impl.random_u(rng, D)
+        h, ref = witness_poset(D, E, f, u), ref_witness_poset(D, E, f, u)
+        assert (h.symbols, h.m) == (ref.symbols, ref.m)
 
 
 def test_downset_preimages_are_downsets_and_cover():

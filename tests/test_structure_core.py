@@ -204,13 +204,17 @@ def raw_space(cls, points, dist, spectrum):
 
 def corrupted_spaces(rng, cls):
     """A valid space and corruptions: a zero or off-spectrum distance, a
-    broken (strong) triangle, a shuffled linear order, a nonzero diagonal."""
+    broken (strong) triangle, a shuffled linear order, a nonzero diagonal,
+    an empty, reversed or decreasing spectrum."""
     space = random_ultrametric(rng, 6) if cls is ConvUltrametricSpace else random_metric(rng, 5)
     pts = list(space.universe)
     n = len(pts)
     spect = space.spectrum
     dist = {(r, q): space.dmatrix[r][q] for r, q in itertools.combinations(range(n), 2)}
     yield "valid", space
+    yield "empty spectrum", raw_space(cls, pts, dist, ())
+    yield "reversed spectrum", raw_space(cls, pts, dist, spect[::-1])
+    yield "decreasing spectrum", raw_space(cls, pts, dist, (spect[0], *spect[:0:-1]))
     if n > 1:
         pair = rng.choice(list(dist))
         yield "zero", raw_space(cls, pts, {**dist, pair: Fraction(0)}, spect)
@@ -289,8 +293,10 @@ def test_spaces_match_reference():
             for label, space in corrupted_spaces(rng, cls):
                 check_space(space)
                 result = outcome(validate_structure, space)
-                messages.add(result[1].split(" ")[0] if isinstance(result, tuple) else label)
-    for word in ("valid", "d(", "strong", "triangle", "attained", "ball"):
+                messages.add(result[1] if isinstance(result, tuple) else label)
+    for word in ("valid", "d(", "strong", "triangle", "attained", "ball",
+                 "spectrum must be nonempty", "spectrum must start at 0",
+                 "spectrum must be strictly increasing"):
         assert any(m.startswith(word) for m in messages), word
 
 
