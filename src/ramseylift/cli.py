@@ -299,7 +299,7 @@ def _mapped_embedding(spec: str, source, target, key=None):
 def cmd_phi(args, rep):
     s = _kind_structure(args.structure, args.kind)
     impl = selector_impl(args.kind)
-    words = impl.base_category().name == "words"
+    words = impl.category.name == "words"
     if words:
         u = _base_word(args)
     else:
@@ -329,7 +329,7 @@ def cmd_witness(args, rep):
         raise DomainError(f"both structures must be of kind {args.kind}")
     f = _mapped_embedding(args.map, small, big)
     impl = selector_impl(args.kind)
-    if impl.base_category().name == "words":
+    if impl.category.name == "words":
         h = impl.witness(big, small, f, _base_word(args))
         rep.emit({"witness": h.text(), "n": h.n, "m": h.m}, [h.text()])
     else:
@@ -439,7 +439,7 @@ def cmd_transfer_demo(args, rep):
     E = _kind_structure(args.E, args.kind)
     C = None
     if args.C is not None:
-        if selector_impl(args.kind).base_category().name == "words":
+        if selector_impl(args.kind).category.name == "words":
             C = _int(args.C, "--C")
         else:
             C = _structure(args.C)

@@ -199,78 +199,42 @@ def random_superposet_embedding(rng: random.Random, poset: LinOrderedPoset) -> E
 # selectors
 #
 # A selector is one encoding F into a Ramsey base category with its decoding
-# G, point map phi and factorizing witness.  Both bases answer the same
-# protocol: base_category(), compose(u, v), encode(s), phi(s, u),
-# witness(D, E, f, u), decode(C, D, budget), premise(FE, FD, k, budget, C),
-# random_structure(rng) and random_u(rng, D); a fifth encoding is one more entry.
+# G, point map phi and factorizing witness.  Both bases expose the same
+# protocol: category, compose(u, v), encode(s), phi(s, u), witness(D, E, f, u),
+# decode(C, D, budget), candidates(FD, C), refusal, random_structure(rng) and
+# random_u(rng, D); _premise decides the arrow on the candidates, and a fifth
+# encoding is one more entry.
 
 
-class _Selector:
-    """Filled from one encoding module's functions and a random generator;
-    a subclass fixes the base category and, for the premise, the (label,
-    object) candidates ``_probes`` and ``_given`` and the ``_refusal`` text."""
-
-    def __init__(self, encode, phi, witness, decode, random_structure):
-        self._encode = encode
-        self._phi = phi
-        self._witness = witness
-        self._decode = decode
-        self._random = random_structure
-
-    def base_category(self):
-        return self._category
-
-    def random_structure(self, rng: random.Random):
-        return self._random(rng)
-
-    def premise(self, FE, FD, k: int, budget: Budget, C):
-        """A base object C with C -> (FD)^FE_k: ``C`` checked when given,
-        else the first of the probe sequence that arrows; returned with the
-        composite table it was decided on."""
-        probes = self._probes(FD) if C is None else [self._given(C, FD)]
-        for label, candidate in probes:
-            verdict = decide_arrow(ArrowInstance(self._category, FE, FD, candidate, k), budget)
-            if verdict.holds:
-                return {"base": self._category.name, "object": label, "counts": verdict.counts,
-                        "probed": C is None}, candidate, verdict.table
-        raise PremiseError(
-            self._refusal.format(C=candidate, FD=FD, FE=FE, k=k)
-            + f"; bad coloring: {list(verdict.bad_coloring.colors)}",
-            bad_coloring=verdict.bad_coloring,
-        )
-
-
-class _WordBase(_Selector):
+class _WordBase:
     """Graphs and posets: encoded into the category of parameter words over
     {0}; an object n decodes to the structure on the subsets of n."""
 
-    _category = WordCategory(_GR_ALPHABET)
-    _refusal = "object {C} does not arrow ({FD})^({FE})_{k}"
+    category = WordCategory(_GR_ALPHABET)
     compose = staticmethod(W.compose)
+    refusal = "object {C} does not arrow ({FD})^({FE})_{k}"
+
+    def __init__(self, encode, phi, witness, decode, random_structure):
+        self._encode, self._decode = encode, decode
+        self.phi, self.witness, self.random_structure = phi, witness, random_structure
 
     def encode(self, s) -> int:
         return self._encode(s).object
-
-    def phi(self, s, u) -> dict:
-        return self._phi(s, u)
-
-    def witness(self, D, E, f, u):
-        return self._witness(D, E, f, u)
 
     def decode(self, C: int, D, budget: Budget):
         if 2**C > budget.max_hom:
             raise BudgetError(f"decoded structure would have 2^{C} elements")
         return self._decode(C)
 
-    def _probes(self, FD: int):
-        """The objects n = FD, FD+1, ...; no smaller one has an FD-parameter word."""
-        return ((n, n) for n in itertools.count(FD))
-
-    def _given(self, C, FD: int):
+    def candidates(self, FD: int, C):
+        """The (label, object) pairs to decide: ``C`` when given, else
+        n = FD, FD+1, ...; no smaller object has an FD-parameter word."""
+        if C is None:
+            return ((n, n) for n in itertools.count(FD))
         n = int(C)
         if n < FD:
             raise DomainError(f"no word with {FD} parameters and length {n} exists")
-        return n, n
+        return [(n, n)]
 
     def random_u(self, rng: random.Random, D) -> W.ParameterWord:
         m = self.encode(D)
@@ -278,16 +242,17 @@ class _WordBase(_Selector):
         return random_word(rng, _GR_ALPHABET, n, m)
 
 
-class _PosetBase(_Selector):
+class _PosetBase:
     """Ultrametric and metric spaces: encoded into linearly ordered posets;
     a poset decodes to the space of tuples over the shared spectrum."""
 
-    _category = StructureCategory("poset")
-    _refusal = "the supplied poset does not arrow the encoded pair"
+    category = StructureCategory("poset")
     compose = staticmethod(compose_embeddings)
+    refusal = "the supplied poset does not arrow the encoded pair"
 
-    def encode(self, s) -> LinOrderedPoset:
-        return self._encode(s)
+    def __init__(self, encode, phi, witness, decode, random_structure):
+        self._phi, self._witness, self._decode = phi, witness, decode
+        self.encode, self.random_structure = encode, random_structure
 
     def phi(self, s, u: Embedding) -> dict:
         return self._phi(s, u.target, u)
@@ -299,15 +264,31 @@ class _PosetBase(_Selector):
     def decode(self, C: LinOrderedPoset, D, budget: Budget):
         return self._decode(C, D.spectrum, max_points=min(DEFAULT_MAX_POINTS, budget.max_hom))
 
-    def _probes(self, FD):
-        """The powerset posets P(1), P(2), ..."""
-        return (({"powerset_poset": n}, PE.powerset_poset(n)) for n in itertools.count(1))
-
-    def _given(self, C: LinOrderedPoset, FD):
-        return "given", C
+    def candidates(self, FD, C):
+        """The (label, object) pairs to decide: ``C`` when given, else the
+        powerset posets P(1), P(2), ..."""
+        if C is None:
+            return (({"powerset_poset": n}, PE.powerset_poset(n)) for n in itertools.count(1))
+        return [("given", C)]
 
     def random_u(self, rng: random.Random, D) -> Embedding:
         return random_superposet_embedding(rng, self.encode(D))
+
+
+def _premise(impl, FE, FD, k: int, budget: Budget, C):
+    """A base object C with C -> (FD)^FE_k: ``C`` checked when given, else
+    the first of the selector's candidates that arrows; returned with the
+    composite table it was decided on."""
+    for label, candidate in impl.candidates(FD, C):
+        verdict = decide_arrow(ArrowInstance(impl.category, FE, FD, candidate, k), budget)
+        if verdict.holds:
+            return {"base": impl.category.name, "object": label, "counts": verdict.counts,
+                    "probed": C is None}, candidate, verdict.table
+    raise PremiseError(
+        impl.refusal.format(C=candidate, FD=FD, FE=FE, k=k)
+        + f"; bad coloring: {list(verdict.bad_coloring.colors)}",
+        bad_coloring=verdict.bad_coloring,
+    )
 
 
 _SELECTOR_IMPLS = {
@@ -516,12 +497,12 @@ def transfer_demo(
     if k < 2:
         raise DomainError(f"number of colors must be at least 2, got {k}")
     rng = random.Random(f"{seed}:transfer")
-    base_cat = impl.base_category()
+    base_cat = impl.category
     FD = impl.encode(D)
     FE = impl.encode(E)
     if not _share_spectrum(D, E):
         raise DomainError("transfer requires D and E over one spectrum")
-    premise, C, table = impl.premise(FE, FD, k, budget, C)
+    premise, C, table = _premise(impl, FE, FD, k, budget, C)
     G_C = impl.decode(C, D, budget)
 
     hom_E_GC = struct_cat.hom(E, G_C, budget)

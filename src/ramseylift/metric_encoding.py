@@ -145,16 +145,15 @@ def dist_metric_tuples(poset: LinOrderedPoset, spectrum, a: tuple, b: tuple) -> 
 def decode_poset_metric(
     poset: LinOrderedPoset,
     spectrum,
-    points=None,
     max_points: int = DEFAULT_MAX_POINTS,
 ) -> LinOrderedMetricSpace:
-    """The metric tuple space over the poset, on all |A|^k tuples or a given
-    subset, ordered lexicographically.  Validates the metric axioms of
-    whatever is materialized; refuses non-tight spectra."""
+    """The metric tuple space over the poset, on all |A|^k tuples, ordered
+    lexicographically.  Validates the metric axioms of the result; refuses
+    non-tight spectra."""
     spect = checked_spectrum(spectrum)
     if not _is_tight(spect):
         raise SpectrumError("tuple space requires a tight spectrum")
-    pts = _tuple_points(poset, len(spect) - 1, points, max_points, "lex")
+    pts = _tuple_points(poset, len(spect) - 1, max_points, "lex")
     dist = {
         (s, t): _dist_tuples_raw(poset, spect, s, t)
         for s, t in itertools.combinations(pts, 2)

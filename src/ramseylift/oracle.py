@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import BudgetError, DomainError
-from .structures import Embedding, embedding_ranks
+from .structures import Embedding, embedding_ranks, format_count
 from . import words as W
 
 
@@ -261,6 +261,12 @@ class CompositeTable:
         return None, None
 
 
+def _hom_sets(instance: ArrowInstance, budget: Budget) -> tuple[list, list, list]:
+    """hom(A, C), hom(B, C) and hom(A, B) of the instance."""
+    cat, A, B, C = instance.category, instance.A, instance.B, instance.C
+    return cat.hom(A, C, budget), cat.hom(B, C, budget), cat.hom(A, B, budget)
+
+
 def decide_arrow(instance: ArrowInstance, budget: Budget = DEFAULT_BUDGET) -> ArrowVerdict:
     """Decide C -> (B)^A_k by exhausting all colorings of hom(A, C).
 
@@ -270,18 +276,15 @@ def decide_arrow(instance: ArrowInstance, budget: Budget = DEFAULT_BUDGET) -> Ar
     ``colorings_checked`` is its rank plus one; a holding one reports all
     k^|hom(A,C)| colorings.
     """
-    cat, k = instance.category, instance.k
-    hom_ac = cat.hom(instance.A, instance.C, budget)
-    hom_bc = cat.hom(instance.B, instance.C, budget)
-    hom_ab = cat.hom(instance.A, instance.B, budget)
-    n = len(hom_ac)
+    k, homs = instance.k, _hom_sets(instance, budget)
+    n = len(homs[0])
     total = k**n
     if total > budget.max_colorings:
         raise BudgetError(
-            f"deciding needs k^|hom(A,C)| = {k}^{n} = {total} colorings, "
-            f"above the budget of {budget.max_colorings}"
+            f"deciding needs k^|hom(A,C)| = {format_count(k)}^{n} = {format_count(total)} "
+            f"colorings, above the budget of {budget.max_colorings}"
         )
-    table = CompositeTable(cat, hom_ac, hom_bc, hom_ab)
+    table = CompositeTable(instance.category, *homs)
     rank = _first_bad_rank(table.comp_sets, k, n)
     if rank is None:
         return ArrowVerdict(True, table.counts(total), table=table)
@@ -300,16 +303,15 @@ def check_coloring(
     Returns the verdict (with the witness when found) and, per candidate,
     the sorted list of color classes its composites meet.
     """
-    cat = instance.category
-    hom_ac = cat.hom(instance.A, instance.C, budget)
-    hom_bc = cat.hom(instance.B, instance.C, budget)
-    hom_ab = cat.hom(instance.A, instance.B, budget)
-    if len(coloring.colors) != len(hom_ac):
+    if coloring.k != instance.k:
+        raise DomainError(f"coloring has {coloring.k} colors, the instance {instance.k}")
+    cat, homs = instance.category, _hom_sets(instance, budget)
+    if len(coloring.colors) != len(homs[0]):
         raise DomainError(
-            f"coloring covers {len(coloring.colors)} morphisms, hom(A,C) has {len(hom_ac)}"
+            f"coloring covers {len(coloring.colors)} morphisms, hom(A,C) has {len(homs[0])}"
         )
-    table = CompositeTable(cat, hom_ac, hom_bc, hom_ab)
-    candidates = [cat.morphism(instance.B, instance.C, w) for w in hom_bc]
+    table = CompositeTable(cat, *homs)
+    candidates = [cat.morphism(instance.B, instance.C, w) for w in table.hom_bc]
     detail = []
     for w, comps in zip(candidates, table.comp_sets):
         met = sorted({coloring.colors[i] for i in comps})
@@ -344,12 +346,14 @@ def decide_gr(
         raise DomainError(f"no word with {m} parameters and length {n} exists")
     n_small = W.count_words(alphabet, n, ell)
     if n_small > budget.max_hom:
-        raise BudgetError(f"|W^{n}_{ell}| = {n_small} exceeds the hom budget {budget.max_hom}")
+        raise BudgetError(
+            f"|W^{n}_{ell}| = {format_count(n_small)} exceeds the hom budget {budget.max_hom}"
+        )
     total = k**n_small
     if total > budget.max_colorings:
         raise BudgetError(
-            f"deciding needs k^|W^{n}_{ell}| = {k}^{n_small} = {total} colorings, "
-            f"above the budget of {budget.max_colorings}"
+            f"deciding needs k^|W^{n}_{ell}| = {format_count(k)}^{n_small} = "
+            f"{format_count(total)} colorings, above the budget of {budget.max_colorings}"
         )
     small = list(W.enumerate_words(alphabet, n, ell, budget.max_hom))
     mids = list(W.enumerate_words(alphabet, n, m, budget.max_hom))

@@ -4,16 +4,16 @@ All four kinds carry an explicit linear order on their universe (a
 :class:`~ramseylift.orders.BaseOrder`).  Elements and exact rational
 distances appear where a structure is built, in JSON and text output and
 in error messages; no floating point is used anywhere.  Validation, balls,
-downsets and embeddings work on ranks: a relation as per-rank bitmasks
-(``relation_masks``; a poset's are the up rows its validation found),
-distances as integers over their common denominator (``scaled``), balls as
-rank bitmasks (``ball_masks``), an embedding as the tuple of its target
-ranks.  Each structure derives these views once and caches them, and each
-encoder remembers its last four structures (:func:`_memo_recent`).  A
-:class:`Ball` is a named tuple ``(points, radius_index)``.  Construction
-through the ``build`` classmethods or :func:`from_json` validates every
-axiom; the raw dataclass constructors are unchecked so that tests can
-exercise the validators.
+downsets and embeddings work on ranks: a relation as a tuple of rank
+bitmasks, one row per value and rank (``relation_rows``; a poset's are the
+up rows its validation found), distances as integers over their common
+denominator (``scaled``), balls as rank bitmasks (``ball_masks``), an
+embedding as the tuple of its target ranks.  Each structure derives these
+views once and caches them, and each encoder remembers its last four
+structures (:func:`_memo_recent`).  A :class:`Ball` is a named tuple
+``(points, radius_index)``.  Construction through the ``build``
+classmethods or :func:`from_json` validates every axiom; the raw dataclass
+constructors are unchecked so that tests can exercise the validators.
 """
 
 from __future__ import annotations
@@ -74,6 +74,17 @@ def format_rational(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
+def format_count(n: int) -> str:
+    """``n`` in decimal, or ``<d digits>`` past 30 digits: a refusal may
+    name a number too long for Python to convert to text."""
+    if n < 10**30:
+        return str(n)
+    digits = (n.bit_length() - 1) * 301029995 // 10**9  # log10(2) rounded down
+    while n >= 10**digits:
+        digits += 1
+    return f"<{digits} digits>"
+
+
 def checked_spectrum(values) -> tuple[Fraction, ...]:
     """Parse a distance spectrum, which must be nonempty, start at 0 and strictly increase."""
     vals = tuple(parse_rational(v) for v in values)
@@ -110,13 +121,14 @@ class LinOrderedGraph:
         return self.order.elements
 
     @cached_property
-    def relation_masks(self) -> int:
+    def relation_rows(self) -> tuple[int, ...]:
         """See :func:`embedding_ranks`."""
         rank, rows = self.order.rank_map, [0] * len(self.order)
         for x, y in self.edges:
             rows[rank[x]] |= 1 << rank[y]
             rows[rank[y]] |= 1 << rank[x]
-        return _binary_masks(rows)
+        full = (1 << len(rows)) - 1
+        return tuple([full ^ row for row in rows] + rows)
 
 
 @dataclass(frozen=True)
@@ -153,17 +165,11 @@ class LinOrderedPoset:
         return frozenset(b for b in self.universe if self.below(b, a))
 
     @cached_property
-    def relation_masks(self) -> int:
+    def relation_rows(self) -> tuple[int, ...]:
         """See :func:`embedding_ranks`; rank s is related to r when r <= s.
-        Computing it validates the poset (see :func:`_validate_poset`)."""
-        return _binary_masks(_validate_poset(self))
-
-
-def _binary_masks(rows) -> int:
-    """Relation masks from ``rows[r]``, the ranks related to rank r."""
-    n = len(rows)
-    true = sum(row << r * n for r, row in enumerate(rows))
-    return true << n * n | ((1 << n * n) - 1) ^ true
+        Computing them validates the poset (see :func:`_validate_poset`)."""
+        up, full = _validate_poset(self), (1 << len(self.universe)) - 1
+        return tuple([full ^ row for row in up] + up)
 
 
 def _dist_matrix(order: BaseOrder, dist: Mapping) -> tuple[tuple[Fraction, ...], ...]:
@@ -208,13 +214,12 @@ class _SpaceMixin:
                 tuple([v.numerator * (den // v.denominator) for v in self.spectrum]))
 
     @cached_property
-    def relation_masks(self) -> int:
+    def relation_rows(self) -> tuple[int, ...]:
         """See :func:`embedding_ranks`; distances compare as integers over
         the common denominator."""
         dist, spect = self.scaled
-        n, value = len(dist), {d: v for v, d in enumerate(spect)}
-        return sum(1 << (value[d] * n + r) * n + z
-                   for r, row in enumerate(dist) for z, d in enumerate(row))
+        return tuple([sum(1 << z for z, d in enumerate(row) if d == v)
+                      for v in spect for row in dist])
 
 
 def _members(elems: tuple, mask: int) -> frozenset:
@@ -357,7 +362,7 @@ def validate_structure(s) -> dict:
                     raise StructureError(f"edge vertex {v!r} not declared")
         return {"kind": kind, "size": len(s.order), "edges": len(s.edges)}
     if kind == "poset":
-        s.relation_masks  # computing the masks validates the poset
+        s.relation_rows  # computing the rows validates the poset
         return {"kind": kind, "size": len(s.order), "relation_pairs": len(s.leq)}
     if kind in ("ultrametric", "metric"):
         try:
@@ -443,13 +448,13 @@ def check_embedding(f, source, target) -> Embedding:
             raise EmbeddingError(f"linear order not preserved on ({a!r},{b!r})")
     k, n = len(uni), len(target.universe)
     src, values = source.relation_values, target.relation_values
+    rows, target_rows = source.relation_rows, target.relation_rows
     for i, a in enumerate(uni):
         bad = 0  # the q whose value to i the map changes; by now all of them follow i
         for v, value in enumerate(src):
-            here = source.relation_masks >> (v * k + i) * k & ((1 << k) - 1)
+            here = rows[v * k + i]
             if here:
-                there = (target.relation_masks >> (values.index(value) * n + ranks[i]) * n
-                         if value in values else 0)
+                there = target_rows[values.index(value) * n + ranks[i]] if value in values else 0
                 bad |= here & ~sum(1 << q for q, t in enumerate(ranks) if there >> t & 1)
         if bad:
             j = (bad & -bad).bit_length() - 1
@@ -457,7 +462,7 @@ def check_embedding(f, source, target) -> Embedding:
                 here, there = source.dmatrix[i][j], target.dmatrix[ranks[i]][ranks[j]]
                 raise EmbeddingError(f"distance not preserved on ({a!r},{uni[j]!r}): "
                                      f"{format_rational(here)} vs {format_rational(there)}")
-            clause = "preserved" if source.relation_masks >> (k + i) * k + j & 1 else "reflected"
+            clause = "preserved" if rows[k + i] >> j & 1 else "reflected"
             relation = "adjacency" if source.kind == "graph" else "partial order"
             raise EmbeddingError(f"{relation} not {clause} on ({a!r},{uni[j]!r})")
     return Embedding(source, target, ranks)
@@ -467,8 +472,8 @@ def embedding_ranks(source, target) -> Iterator[tuple[int, ...]]:
     """Yield every embedding of ``source`` into ``target`` exactly once, as
     the tuple of target ranks of the source elements.
 
-    A structure of n elements holds its relation in ``relation_masks``, an
-    integer of n-bit rows: bit s of row v * n + r is set when rank s bears
+    A structure of n elements holds its relation in ``relation_rows``, a
+    tuple of n-bit rows: bit s of row v * n + r is set when rank s bears
     ``relation_values[v]`` (adjacency, order, or a distance) to rank r.
     Images strictly increase, so the tuples come out in lexicographic
     order; element i may go to rank j when j is in the target row, at the
@@ -481,15 +486,14 @@ def embedding_ranks(source, target) -> Iterator[tuple[int, ...]]:
     if k > n:
         return
     src, values = source.relation_values, target.relation_values
-    src_rows = [source.relation_masks >> j * k & ((1 << k) - 1) for j in range(len(src) * k)]
-    needs = [[] for _ in range(k)]  # needs[i][p]: bit offset of the target rows for p-to-i
+    src_rows, rows = source.relation_rows, target.relation_rows
+    needs = [[] for _ in range(k)]  # needs[i][p]: the offset of the target rows for p-to-i
     for i in range(k):
         for p in range(i):
             v = next(v for v in range(len(src)) if src_rows[v * k + p] >> i & 1)
             if src[v] not in values:
                 return
-            needs[i].append(values.index(src[v]) * n * n)
-    masks, full, rows = target.relation_masks, (1 << n) - 1, {}  # rows: split off on first use
+            needs[i].append(values.index(src[v]) * n)
     chosen, pending, i = [0] * k, [], 0  # pending[i]: the ranks element i has yet to try
     while True:
         if i == k:
@@ -497,10 +501,7 @@ def embedding_ranks(source, target) -> Iterator[tuple[int, ...]]:
         else:
             cand = (1 << (n - k + i + 1)) - (1 << (chosen[i - 1] + 1 if i else 0))
             for p, offset in enumerate(needs[i]):
-                at = offset + chosen[p] * n
-                if at not in rows:
-                    rows[at] = masks >> at & full
-                cand &= rows[at]
+                cand &= rows[offset + chosen[p]]
             pending.append(cand)
         while pending and not pending[-1]:
             pending.pop()
@@ -592,27 +593,16 @@ def balls(space: ConvUltrametricSpace) -> tuple[Ball, ...]:
                  for i, m in _distinct_balls(space.ball_masks))
 
 
-def _tuple_points(poset: LinOrderedPoset, k: int, points, max_points: int, kind: str) -> list:
-    """The points of a tuple space over the poset, sorted under the tuple
-    order ``kind``: all |A|^k k-tuples, or the given ones, each checked once.
-    Refuses more than ``max_points`` points."""
-    if points is None:
-        total = len(poset.universe) ** k
-        if total > max_points:
-            raise BudgetError(f"full tuple space has {total} points, above the bound {max_points}")
-        pts = list(itertools.product(poset.universe, repeat=k))
-    else:
-        pts = [tuple(p) for p in points]
-        if len(pts) > max_points:
-            raise BudgetError(f"{len(pts)} points requested, above the bound {max_points}")
-        if len(set(pts)) != len(pts):
-            raise DomainError("duplicate tuple points")
-        if any(len(t) != k for t in pts):
-            raise DomainError(f"tuples must have length {k}")
-        for entry in itertools.chain.from_iterable(pts):
-            if entry not in poset.order:
-                raise DomainError(f"tuple entry {entry!r} is not a poset element")
-    return sorted(pts, key=lambda t: tuple_key(poset.order, kind, t))
+def _tuple_points(poset: LinOrderedPoset, k: int, max_points: int, kind: str) -> list:
+    """All |A|^k k-tuples over the poset, sorted under the tuple order
+    ``kind``.  Refuses more than ``max_points`` points."""
+    total = len(poset.universe) ** k
+    if total > max_points:
+        raise BudgetError(
+            f"full tuple space has {format_count(total)} points, above the bound {max_points}"
+        )
+    return sorted(itertools.product(poset.universe, repeat=k),
+                  key=lambda t: tuple_key(poset.order, kind, t))
 
 
 def _check_tuple_images(space, poset: LinOrderedPoset, images: dict, kind: str, dist) -> None:

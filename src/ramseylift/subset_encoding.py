@@ -75,11 +75,11 @@ def _images(enc: SubsetEncoding, u: ParameterWord) -> list[int]:
         for a in held:
             img |= parts[a]
         images.append(img)
-    k, rel, related, uni = len(images), s.relation_masks, enc.related, s.universe
+    k, rows, related, uni = len(images), s.relation_rows, enc.related, s.universe
     for r, q in itertools.combinations(range(k), 2):
         a, b = images[r], images[q]
-        if (related(a, b) != rel >> (k + r) * k + q & 1
-                or related(b, a) != rel >> (k + q) * k + r & 1):
+        if (related(a, b) != rows[k + r] >> q & 1
+                or related(b, a) != rows[k + q] >> r & 1):
             raise VerificationError(
                 f"images of {uni[r]!r},{uni[q]!r} do not bear the {s.kind} relation"
             )

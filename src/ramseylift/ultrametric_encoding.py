@@ -96,16 +96,15 @@ def dist_ultra_tuples(poset: LinOrderedPoset, spectrum, a: tuple, b: tuple) -> F
 def decode_poset_ultra(
     poset: LinOrderedPoset,
     spectrum,
-    points=None,
     max_points: int = DEFAULT_MAX_POINTS,
 ) -> ConvUltrametricSpace:
-    """The tuple space over the poset, on all |A|^k tuples or a given subset.
+    """The tuple space over the poset, on all |A|^k tuples.
 
-    Validates the ultrametric axioms and ball convexity of whatever is
-    materialized.  Refuses to build more than ``max_points`` points.
+    Validates the ultrametric axioms and ball convexity of the result.
+    Refuses to build more than ``max_points`` points.
     """
     spect = checked_spectrum(spectrum)
-    pts = _tuple_points(poset, len(spect) - 1, points, max_points, "alex")
+    pts = _tuple_points(poset, len(spect) - 1, max_points, "alex")
     dist = {(s, t): _dist_raw(spect, s, t) for s, t in itertools.combinations(pts, 2)}
     return ConvUltrametricSpace.build(pts, dist, spect)
 

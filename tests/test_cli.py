@@ -514,6 +514,24 @@ def test_long_word_premise_is_refused_by_its_budget(files, capsys):
                      "enumeration of W^1500_1 exceeded limit 10000: at least 10001 words exist"}
 
 
+def test_refusals_name_huge_counts_by_their_digits(files, capsys):
+    """A count of more than 30 digits is named by its number of digits, so
+    one past Python's int-to-text limit cannot crash a refusal; shorter
+    counts stay in full."""
+    code, error = _error(capsys, "arrow", "gr", "--alphabet", "0", "-n", "20000", "-m", "2",
+                         "--ell", "1", "-k", "2")
+    assert code == 2
+    assert error == {"type": "BudgetError", "message":
+                     "|W^20000_1| = <6021 digits> exceeds the hom budget 10000"}
+    a, b, c = files("a.json", POINT), files("b.json", CHAIN2), files("c.json", CHAIN3)
+    code, error = _error(capsys, "arrow", "decide", "--kind", "poset", "--A", a, "--B", b,
+                         "--C", c, "-k", "1" + "0" * 1500)
+    assert code == 2
+    assert error == {"type": "BudgetError", "message":
+                     "deciding needs k^|hom(A,C)| = <1501 digits>^3 = <4501 digits> "
+                     "colorings, above the budget of 2000000"}
+
+
 def test_embeddings_of_a_large_structure_into_itself(files, capsys):
     n = 1100
     big = files("big.json", {"kind": "graph", "universe": list(range(n)), "edges": []})

@@ -28,6 +28,22 @@ U_POINT = ConvUltrametricSpace.build([1], {}, [0, 1])
 M_POINT = LinOrderedMetricSpace.build([1], {}, [0, 1])
 
 
+_PROTOCOL = ("category", "compose", "encode", "phi", "witness", "decode", "candidates",
+             "refusal", "random_structure", "random_u")
+
+
+@pytest.mark.parametrize("selector", SELECTORS)
+def test_every_selector_exposes_the_protocol(selector):
+    """Each selector answers every protocol name itself, with no template
+    base class behind it."""
+    impl = harness.selector_impl(selector)
+    assert [name for name in _PROTOCOL if not hasattr(impl, name)] == []
+    assert isinstance(impl.refusal, str)
+    assert all(callable(getattr(impl, name)) for name in _PROTOCOL
+               if name not in ("category", "refusal"))
+    assert type(impl).__bases__ == (object,)
+
+
 @pytest.mark.parametrize("selector", SELECTORS)
 def test_random_structures_validate(selector):
     rng = random.Random(f"harness:{selector}")

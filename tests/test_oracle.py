@@ -240,6 +240,14 @@ def test_check_coloring_requires_total_assignment():
         check_coloring(inst, Coloring((1, 2), 2))
 
 
+def test_check_coloring_refuses_a_foreign_number_of_colors():
+    """A 3-coloring is no coloring of a 2-color instance, even when its
+    composites happen to meet one color."""
+    inst = ArrowInstance(POSETS, POINT, CHAIN2, CHAIN3, 2)
+    with pytest.raises(DomainError, match="coloring has 3 colors, the instance 2"):
+        check_coloring(inst, Coloring((1, 3, 3), 3))
+
+
 def test_holds_implies_random_colorings_have_witnesses():
     inst = ArrowInstance(POSETS, POINT, CHAIN2, CHAIN3, 2)
     assert decide_arrow(inst).holds

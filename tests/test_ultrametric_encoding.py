@@ -108,13 +108,6 @@ def test_decode_budget():
         decode_poset_ultra(poset, [0, 1, 2, 3], max_points=8)
 
 
-def test_decode_subset_mode():
-    poset = next(all_posets_on(2))
-    pts = [(1, 1), (2, 1)]
-    space = decode_poset_ultra(poset, S012, points=pts)
-    assert len(space.universe) == 2
-
-
 def test_phi_identity_target():
     bp = encode_ultrametric(ULTRA3)
     images = phi_ultra(ULTRA3, bp.poset, identity_embedding(bp.poset))
