@@ -11,7 +11,7 @@ from .errors import (
     VerificationError,
     WordError,
 )
-from .orders import EQUAL, GREATER, LESS, BaseOrder, compare_subsets, compare_tuples
+from .orders import BaseOrder
 from .structures import (
     Ball,
     ConvUltrametricSpace,
@@ -34,11 +34,8 @@ __all__ = [
     "BudgetError",
     "ConvUltrametricSpace",
     "DomainError",
-    "EQUAL",
     "Embedding",
     "EmbeddingError",
-    "GREATER",
-    "LESS",
     "LinOrderedGraph",
     "LinOrderedMetricSpace",
     "LinOrderedPoset",
@@ -50,8 +47,6 @@ __all__ = [
     "WordError",
     "balls",
     "check_embedding",
-    "compare_subsets",
-    "compare_tuples",
     "compose",
     "downsets",
     "enumerate_embeddings",

@@ -15,6 +15,7 @@ of all its composites, re-checking every claim on the way.
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -40,6 +41,7 @@ from .structures import (
     LinOrderedGraph,
     LinOrderedMetricSpace,
     LinOrderedPoset,
+    check_tuple_space,
     compose_embeddings,
     embedding_ranks,
     identity_embedding,
@@ -201,9 +203,9 @@ def random_superposet_embedding(rng: random.Random, poset: LinOrderedPoset) -> E
 # A selector is one encoding F into a Ramsey base category with its decoding
 # G, point map phi and factorizing witness.  Both bases expose the same
 # protocol: category, compose(u, v), encode(s), phi(s, u), witness(D, E, f, u),
-# decode(C, D, budget), candidates(FD, C), refusal, random_structure(rng) and
-# random_u(rng, D); _premise decides the arrow on the candidates, and a fifth
-# encoding is one more entry.
+# decode(C, D, budget), candidates(FD, D, C, budget), refusal,
+# random_structure(rng) and random_u(rng, D); _premise decides the arrow on
+# the candidates, and a fifth encoding is one more entry.
 
 
 class _WordBase:
@@ -222,15 +224,16 @@ class _WordBase:
         return self._encode(s).object
 
     def decode(self, C: int, D, budget: Budget):
-        if 2**C > budget.max_hom:
+        if C >= budget.max_hom.bit_length():  # 2^C > max_hom
             raise BudgetError(f"decoded structure would have 2^{C} elements")
         return self._decode(C)
 
-    def candidates(self, FD: int, C):
+    def candidates(self, FD: int, D, C, budget: Budget):
         """The (label, object) pairs to decide: ``C`` when given, else
-        n = FD, FD+1, ...; no smaller object has an FD-parameter word."""
+        n = FD, FD+1, ... while the 2^n elements of its decoding fit
+        ``budget.max_hom``; no smaller object has an FD-parameter word."""
         if C is None:
-            return ((n, n) for n in itertools.count(FD))
+            return [(n, n) for n in range(FD, budget.max_hom.bit_length())]
         n = int(C)
         if n < FD:
             raise DomainError(f"no word with {FD} parameters and length {n} exists")
@@ -262,28 +265,40 @@ class _PosetBase:
         return self._witness(D, E, f)
 
     def decode(self, C: LinOrderedPoset, D, budget: Budget):
-        return self._decode(C, D.spectrum, max_points=min(DEFAULT_MAX_POINTS, budget.max_hom))
+        """Decodes within the bound that :meth:`candidates` checked."""
+        return self._decode(C, D.spectrum)
 
-    def candidates(self, FD, C):
-        """The (label, object) pairs to decide: ``C`` when given, else the
-        powerset posets P(1), P(2), ..."""
-        if C is None:
-            return (({"powerset_poset": n}, PE.powerset_poset(n)) for n in itertools.count(1))
-        return [("given", C)]
+    def candidates(self, FD, D, C, budget: Budget):
+        """The (label, object) pairs to decide: ``C`` when given, else P(1),
+        P(2), ... while P(n) has at most ``budget.max_hom`` elements; a C
+        whose tuple space over D's spectrum is past the decode bound is
+        neither probed nor, when given, decided."""
+        k, max_points = len(D.spectrum) - 1, min(DEFAULT_MAX_POINTS, budget.max_hom)
+        if C is not None:
+            check_tuple_space(C, k, max_points)
+            return [("given", C)]
+        sizes = itertools.takewhile(
+            lambda n: 2**n <= budget.max_hom and 2 ** (n * k) <= max_points, itertools.count(1))
+        return (({"powerset_poset": n}, PE.powerset_poset(n)) for n in sizes)
 
     def random_u(self, rng: random.Random, D) -> Embedding:
         return random_superposet_embedding(rng, self.encode(D))
 
 
-def _premise(impl, FE, FD, k: int, budget: Budget, C):
+def _premise(impl, FE, FD, D, k: int, budget: Budget, C):
     """A base object C with C -> (FD)^FE_k: ``C`` checked when given, else
     the first of the selector's candidates that arrows; returned with the
-    composite table it was decided on."""
-    for label, candidate in impl.candidates(FD, C):
+    composite table it was decided on.  A probe that runs out of
+    candidates refuses, naming the last one it decided (null for none)."""
+    label = None
+    for label, candidate in impl.candidates(FD, D, C, budget):
         verdict = decide_arrow(ArrowInstance(impl.category, FE, FD, candidate, k), budget)
         if verdict.holds:
             return {"base": impl.category.name, "object": label, "counts": verdict.counts,
                     "probed": C is None}, candidate, verdict.table
+    if C is None:
+        raise BudgetError("no base object that decodes within the budget arrows the encoded "
+                          f"pair (last decided: {json.dumps(label)})")
     raise PremiseError(
         impl.refusal.format(C=candidate, FD=FD, FE=FE, k=k)
         + f"; bad coloring: {list(verdict.bad_coloring.colors)}",
@@ -494,15 +509,12 @@ def transfer_demo(
     hom_E_D = [struct_cat.morphism(E, D, f) for f in struct_cat.hom(E, D, budget)]
     if not hom_E_D:
         raise DomainError("E does not embed into D")
-    if k < 2:
-        raise DomainError(f"number of colors must be at least 2, got {k}")
     rng = random.Random(f"{seed}:transfer")
     base_cat = impl.category
-    FD = impl.encode(D)
-    FE = impl.encode(E)
+    FD, FE = impl.encode(D), impl.encode(E)
     if not _share_spectrum(D, E):
         raise DomainError("transfer requires D and E over one spectrum")
-    premise, C, table = _premise(impl, FE, FD, k, budget, C)
+    premise, C, table = _premise(impl, FE, FD, D, k, budget, C)
     G_C = impl.decode(C, D, budget)
 
     hom_E_GC = struct_cat.hom(E, G_C, budget)

@@ -33,6 +33,10 @@ class Budget:
     max_hom: int = 10_000
     max_colorings: int = 2_000_000
 
+    def __post_init__(self):
+        if self.max_hom < 0:
+            raise DomainError(f"hom budget must be nonnegative, got {self.max_hom}")
+
 
 DEFAULT_BUDGET = Budget()
 
@@ -311,18 +315,16 @@ def check_coloring(
             f"coloring covers {len(coloring.colors)} morphisms, hom(A,C) has {len(homs[0])}"
         )
     table = CompositeTable(cat, *homs)
-    candidates = [cat.morphism(instance.B, instance.C, w) for w in table.hom_bc]
-    detail = []
-    for w, comps in zip(candidates, table.comp_sets):
+    detail, witness, color = [], None, None
+    for w, comps in zip(table.hom_bc, table.comp_sets):
+        candidate = cat.morphism(instance.B, instance.C, w)
         met = sorted({coloring.colors[i] for i in comps})
-        detail.append({"candidate": cat.morphism_json(w), "colors_met": met})
-    wi, color = table.first_mono(coloring.colors)
-    if wi is None:
+        detail.append({"candidate": cat.morphism_json(candidate), "colors_met": met})
+        if witness is None and len(met) <= 1:
+            witness, color = candidate, met[0] if met else 1
+    if witness is None:
         return ArrowVerdict(False, table.counts(1), bad_coloring=coloring), detail
-    return (
-        ArrowVerdict(True, table.counts(1), witness=candidates[wi], witness_color=color),
-        detail,
-    )
+    return ArrowVerdict(True, table.counts(1), witness=witness, witness_color=color), detail
 
 
 def decide_gr(

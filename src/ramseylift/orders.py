@@ -2,7 +2,7 @@
 
 Three subset orders (``lex``, ``alex``, ``clex``) and two tuple orders
 (``lex``, ``alex``) over an explicitly declared finite linear order, each
-a sort key on ranks; the three-way comparators compare keys.
+a sort key on ranks.
 """
 
 from __future__ import annotations
@@ -13,10 +13,6 @@ from typing import Hashable, Iterable, Sequence
 
 from .errors import DomainError
 
-LESS = -1
-EQUAL = 0
-GREATER = 1
-
 SUBSET_ORDER_KINDS = ("lex", "alex", "clex")
 TUPLE_ORDER_KINDS = ("lex", "alex")
 
@@ -26,7 +22,7 @@ class BaseOrder:
     """A finite linearly ordered set.
 
     The declared sequence order of ``elements`` is the linear order used by
-    every comparator; elements are ranked by declaration position.
+    every sort key; elements are ranked by declaration position.
     """
 
     elements: tuple[Hashable, ...]
@@ -76,21 +72,6 @@ def tuple_key(order: BaseOrder, kind: str, t: Sequence) -> tuple[int, ...]:
     _check_kind(kind, TUPLE_ORDER_KINDS)
     ranks = tuple([order.rank(x) for x in t])
     return ranks if kind == "lex" else ranks[::-1]
-
-
-def compare_subsets(order: BaseOrder, kind: str, a: Iterable, b: Iterable) -> int:
-    """Three-way comparison of two subsets of ``order`` under ``kind``."""
-    ka, kb = subset_key(order, kind, a), subset_key(order, kind, b)
-    return (ka > kb) - (ka < kb)
-
-
-def compare_tuples(order: BaseOrder, kind: str, a: Sequence, b: Sequence) -> int:
-    """Three-way comparison of two equal-length tuples over ``order``."""
-    _check_kind(kind, TUPLE_ORDER_KINDS)
-    if len(a) != len(b):
-        raise DomainError(f"tuple length mismatch: {len(a)} vs {len(b)}")
-    ka, kb = tuple_key(order, kind, a), tuple_key(order, kind, b)
-    return (ka > kb) - (ka < kb)
 
 
 def sort_subsets(order: BaseOrder, kind: str, subsets: Iterable[Iterable]) -> list[frozenset]:

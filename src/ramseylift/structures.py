@@ -29,7 +29,7 @@ from .errors import BudgetError, DomainError, EmbeddingError, SpectrumError, Str
 from .errors import VerificationError
 from .orders import BaseOrder, tuple_key
 
-DEFAULT_MAX_POINTS = 4096  # largest tuple space the decoders build by default
+DEFAULT_MAX_POINTS = 343  # largest tuple space the decoders build by default (7^3 points)
 _MEMO_SIZE = 4  # structures each encoder remembers; a phi/witness chain touches two
 
 
@@ -231,11 +231,9 @@ def _build_space(cls, points, dist, spectrum):
     dist = {tuple(k): parse_rational(v) for k, v in dict(dist).items()}
     matrix = _dist_matrix(order, dist)
     if spectrum is None:
-        values = {Fraction(0)}
-        values.update(v for row in matrix for v in row)
-        spect = tuple(sorted(values))
+        spect = tuple(sorted({Fraction(0), *(v for row in matrix for v in row)}))
     else:
-        spect = tuple(sorted(parse_rational(v) for v in spectrum))
+        spect = tuple(parse_rational(v) for v in spectrum)
     space = cls(order, matrix, spect)
     validate_structure(space)
     return space
@@ -404,9 +402,6 @@ class Embedding:
     def image(self) -> tuple:
         return tuple(map(self.target.universe.__getitem__, self.ranks))
 
-    def text(self) -> str:
-        return ", ".join(f"{a!r}->{b!r}" for a, b in self.mapping)
-
 
 def compose_embeddings(g: Embedding, f: Embedding) -> Embedding:
     """The composite ``g after f``; embeddings compose to embeddings."""
@@ -417,6 +412,23 @@ def compose_embeddings(g: Embedding, f: Embedding) -> Embedding:
 
 def identity_embedding(s) -> Embedding:
     return Embedding(s, s, tuple(range(len(s.universe))))
+
+
+def _pair_offsets(source, target) -> list[list[int | None]]:
+    """``offsets[i][p]``, for each pair of source ranks p < i: the offset in
+    ``target.relation_rows`` of the rows for the value that p bears to i
+    (see :func:`embedding_ranks`), or None when the target lacks that value."""
+    k, n, values = len(source.universe), len(target.universe), target.relation_values
+    at = [values.index(x) * n if x in values else None for x in source.relation_values]
+    offsets = [[None] * i for i in range(k)]
+    for row, later in enumerate(source.relation_rows):
+        v, p = divmod(row, k)
+        later >>= p + 1  # the ranks i > p to which p bears value v
+        while later:
+            low = later & -later
+            offsets[p + low.bit_length()][p] = at[v]
+            later ^= low
+    return offsets
 
 
 def check_embedding(f, source, target) -> Embedding:
@@ -446,25 +458,18 @@ def check_embedding(f, source, target) -> Embedding:
     for (i, a), (j, b) in itertools.combinations(enumerate(uni), 2):  # a < b in source order
         if not ranks[i] < ranks[j]:
             raise EmbeddingError(f"linear order not preserved on ({a!r},{b!r})")
-    k, n = len(uni), len(target.universe)
-    src, values = source.relation_values, target.relation_values
-    rows, target_rows = source.relation_rows, target.relation_rows
-    for i, a in enumerate(uni):
-        bad = 0  # the q whose value to i the map changes; by now all of them follow i
-        for v, value in enumerate(src):
-            here = rows[v * k + i]
-            if here:
-                there = target_rows[values.index(value) * n + ranks[i]] if value in values else 0
-                bad |= here & ~sum(1 << q for q, t in enumerate(ranks) if there >> t & 1)
-        if bad:
-            j = (bad & -bad).bit_length() - 1
-            if source.kind in ("ultrametric", "metric"):
-                here, there = source.dmatrix[i][j], target.dmatrix[ranks[i]][ranks[j]]
-                raise EmbeddingError(f"distance not preserved on ({a!r},{uni[j]!r}): "
-                                     f"{format_rational(here)} vs {format_rational(there)}")
-            clause = "preserved" if rows[k + i] >> j & 1 else "reflected"
-            relation = "adjacency" if source.kind == "graph" else "partial order"
-            raise EmbeddingError(f"{relation} not {clause} on ({a!r},{uni[j]!r})")
+    offsets, target_rows = _pair_offsets(source, target), target.relation_rows
+    for p, i in itertools.combinations(range(len(uni)), 2):
+        offset = offsets[i][p]
+        if offset is not None and target_rows[offset + ranks[p]] >> ranks[i] & 1:
+            continue
+        if source.kind in ("ultrametric", "metric"):
+            here, there = source.dmatrix[p][i], target.dmatrix[ranks[p]][ranks[i]]
+            raise EmbeddingError(f"distance not preserved on ({uni[p]!r},{uni[i]!r}): "
+                                 f"{format_rational(here)} vs {format_rational(there)}")
+        clause = "preserved" if source.relation_rows[len(uni) + p] >> i & 1 else "reflected"
+        relation = "adjacency" if source.kind == "graph" else "partial order"
+        raise EmbeddingError(f"{relation} not {clause} on ({uni[p]!r},{uni[i]!r})")
     return Embedding(source, target, ranks)
 
 
@@ -485,15 +490,9 @@ def embedding_ranks(source, target) -> Iterator[tuple[int, ...]]:
     k, n = len(source.universe), len(target.universe)
     if k > n:
         return
-    src, values = source.relation_values, target.relation_values
-    src_rows, rows = source.relation_rows, target.relation_rows
-    needs = [[] for _ in range(k)]  # needs[i][p]: the offset of the target rows for p-to-i
-    for i in range(k):
-        for p in range(i):
-            v = next(v for v in range(len(src)) if src_rows[v * k + p] >> i & 1)
-            if src[v] not in values:
-                return
-            needs[i].append(values.index(src[v]) * n)
+    needs, rows = _pair_offsets(source, target), target.relation_rows
+    if any(None in row for row in needs):
+        return
     chosen, pending, i = [0] * k, [], 0  # pending[i]: the ranks element i has yet to try
     while True:
         if i == k:
@@ -593,14 +592,18 @@ def balls(space: ConvUltrametricSpace) -> tuple[Ball, ...]:
                  for i, m in _distinct_balls(space.ball_masks))
 
 
+def check_tuple_space(poset: LinOrderedPoset, k: int, max_points: int) -> None:
+    """Refuse a tuple space of more than ``max_points`` k-tuples over the poset."""
+    total = len(poset.universe) ** k
+    if total > max_points:
+        raise BudgetError(f"full tuple space has {format_count(total)} points, "
+                          f"above the bound {max_points}")
+
+
 def _tuple_points(poset: LinOrderedPoset, k: int, max_points: int, kind: str) -> list:
     """All |A|^k k-tuples over the poset, sorted under the tuple order
     ``kind``.  Refuses more than ``max_points`` points."""
-    total = len(poset.universe) ** k
-    if total > max_points:
-        raise BudgetError(
-            f"full tuple space has {format_count(total)} points, above the bound {max_points}"
-        )
+    check_tuple_space(poset, k, max_points)
     return sorted(itertools.product(poset.universe, repeat=k),
                   key=lambda t: tuple_key(poset.order, kind, t))
 

@@ -14,6 +14,7 @@ whitespace-separated text form with letters verbatim and variables ``x1``,
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Iterator
@@ -169,22 +170,15 @@ def identity(alphabet: Alphabet, n: int) -> ParameterWord:
 
 
 def count_words(alphabet: Alphabet, n: int, m: int) -> int:
-    """The number of m-parameter words of length n over the alphabet.
-
-    Computed by the recurrence f(p, t) = f(p-1, t) * (|A| + t) + f(p-1, t-1):
-    a position either reuses a letter or an introduced variable, or
-    introduces the next fresh variable.
-    """
+    """The number of m-parameter words of length n over the alphabet,
+    sum over j of (-1)^(m-j) C(m, j) (|A| + j)^n / m! by Stirling inversion:
+    the variable positions form a partition into m blocks, ordered by first
+    occurrence, and the other positions carry letters."""
     if n < 0 or m < 0:
         raise DomainError("n and m must be nonnegative")
     a = len(alphabet)
-    row = [1] + [0] * m
-    for _ in range(n):
-        nxt = [0] * (m + 1)
-        for t in range(m + 1):
-            nxt[t] = row[t] * (a + t) + (row[t - 1] if t else 0)
-        row = nxt
-    return row[m]
+    return sum((-1) ** (m - j) * math.comb(m, j) * (a + j) ** n
+               for j in range(m + 1)) // math.factorial(m)
 
 
 def enumerate_words(alphabet: Alphabet, n: int, m: int, limit: int) -> Iterator[ParameterWord]:
@@ -193,7 +187,8 @@ def enumerate_words(alphabet: Alphabet, n: int, m: int, limit: int) -> Iterator[
     Candidate order at each position: already-introduced variables in
     increasing index order, then the next fresh variable, then letters in
     declared order.  The stream is empty when ``m > n`` or ``n == 0``.
-    Raises :class:`BudgetError` as soon as more than ``limit`` words exist.
+    Raises :class:`BudgetError`, before building any word, when more than
+    ``limit`` words exist.
     """
     if n < 0 or m < 0:
         raise DomainError("n and m must be nonnegative")
@@ -201,6 +196,9 @@ def enumerate_words(alphabet: Alphabet, n: int, m: int, limit: int) -> Iterator[
         raise DomainError("limit must be nonnegative")
     if m > n or n == 0:
         return
+    if count_words(alphabet, n, m) > limit:
+        raise BudgetError(f"enumeration of W^{n}_{m} exceeded limit {limit}: "
+                          f"at least {limit + 1} words exist")
     letters = [letter_token(j) for j in range(len(alphabet))]
 
     def options(pos: int, used: int) -> list[int]:
@@ -211,7 +209,6 @@ def enumerate_words(alphabet: Alphabet, n: int, m: int, limit: int) -> Iterator[
     prefix: list[int] = []
     used = [0]  # used[pos]: the variables introduced by prefix[:pos]
     todo = [iter(options(0, 0))]  # todo[pos]: the untried tokens for position pos
-    produced = 0
     while todo:
         pos = len(todo) - 1
         del prefix[pos:], used[pos + 1:]
@@ -224,10 +221,4 @@ def enumerate_words(alphabet: Alphabet, n: int, m: int, limit: int) -> Iterator[
         if pos + 1 < n:
             todo.append(iter(options(pos + 1, used[pos + 1])))
             continue
-        produced += 1
-        if produced > limit:
-            raise BudgetError(
-                f"enumeration of W^{n}_{m} exceeded limit {limit}: "
-                f"at least {produced} words exist"
-            )
         yield ParameterWord(alphabet, m, tuple(prefix))

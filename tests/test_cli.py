@@ -3,11 +3,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 import types
 
 import pytest
 
-from ramseylift import cli
+from ramseylift import cli, words
 from ramseylift.cli import build_parser, main
 from ramseylift.harness import SELECTORS
 from ramseylift.structures import from_json
@@ -512,6 +513,37 @@ def test_long_word_premise_is_refused_by_its_budget(files, capsys):
     assert code == 2
     assert error == {"type": "BudgetError", "message":
                      "enumeration of W^1500_1 exceeded limit 10000: at least 10001 words exist"}
+
+
+def test_word_count_refusal_is_prompt_at_a_million_letters(capsys):
+    """|W^n_ell| is a closed form in n, not a loop over the n positions."""
+    start = time.perf_counter()
+    code, error = _error(capsys, "arrow", "gr", "--alphabet", "0", "-n", "1000000", "-m", "2",
+                         "--ell", "1", "-k", "2")
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert error == {"type": "BudgetError", "message":
+                     "|W^1000000_1| = <301030 digits> exceeds the hom budget 10000"}
+
+
+def test_word_premise_refusal_builds_no_word(files, capsys, monkeypatch):
+    """The premise sizes hom(FE, C) by its exact count, so a C past the
+    hom budget is refused before any word of length C is built."""
+    lengths = []
+    real = words.ParameterWord
+
+    def counting(alphabet, m, symbols):
+        lengths.append(len(symbols))
+        return real(alphabet, m, symbols)
+
+    monkeypatch.setattr(words, "ParameterWord", counting)
+    point = files("point.json", POINT)
+    code, error = _error(capsys, "transfer-demo", "poset", "--D", point, "--E", point,
+                         "-k", "2", "--C", "3000")
+    assert code == 2
+    assert error == {"type": "BudgetError", "message":
+                     "enumeration of W^3000_1 exceeded limit 10000: at least 10001 words exist"}
+    assert 3000 not in lengths
 
 
 def test_refusals_name_huge_counts_by_their_digits(files, capsys):

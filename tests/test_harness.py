@@ -172,6 +172,30 @@ def test_transfer_demo_budget_refusal():
         transfer_demo("poset", CHAIN2, POINT_POSET, 2, budget=Budget(max_colorings=40_000))
 
 
+def test_transfer_demo_refuses_a_given_poset_past_the_decode_bound(monkeypatch):
+    """A given C whose tuple space exceeds the decode bound is refused
+    before its premise is decided."""
+    from ramseylift.poset_encoding import powerset_poset
+
+    decisions = []
+    monkeypatch.setattr(harness, "decide_arrow", lambda *args: decisions.append(args))
+    point = ConvUltrametricSpace.build([1], {}, [0, 1, 2, 3])
+    with pytest.raises(BudgetError) as err:
+        transfer_demo("ultrametric", point, point, 2, C=powerset_poset(3))
+    assert str(err.value) == "full tuple space has 512 points, above the bound 343"
+    assert decisions == []
+
+
+def test_transfer_demo_probe_refusal_names_the_last_object_decided():
+    gedge, gpoint = LinOrderedGraph.build([1, 2], [(1, 2)]), LinOrderedGraph.build([1], [])
+    with pytest.raises(BudgetError) as err:
+        transfer_demo("graph", gedge, gpoint, 2, budget=Budget(max_hom=16))
+    assert str(err.value) == ("no base object that decodes within the budget arrows the "
+                              "encoded pair (last decided: 4)")
+    with pytest.raises(BudgetError, match=r"\(last decided: null\)"):
+        transfer_demo("graph", gedge, gpoint, 2, budget=Budget(max_hom=4))
+
+
 def test_transfer_demo_rejects_non_embeddable_pair():
     anti = LinOrderedPoset.build([1, 2], [])
     with pytest.raises(DomainError, match="embed"):

@@ -7,7 +7,7 @@ import pytest
 
 from ramseylift.errors import DomainError, EmbeddingError, StructureError
 from ramseylift.harness import random_structure
-from ramseylift.orders import LESS, compare_subsets
+from ramseylift.orders import subset_key
 from ramseylift.structures import (
     Ball,
     ConvUltrametricSpace,
@@ -350,7 +350,7 @@ def test_downsets_complete_and_sorted(n):
         assert set(found) == expected
         # strictly increasing anti-lexicographically
         for a, b in zip(found, found[1:]):
-            assert compare_subsets(p.order, "alex", a, b) == LESS
+            assert subset_key(p.order, "alex", a) < subset_key(p.order, "alex", b)
 
 
 def test_balls_example():
@@ -422,6 +422,15 @@ def test_json_spectrum_defaults_to_attained():
     data = {"kind": "metric", "universe": [1, 2], "dist": [[1, 2, "3/2"]]}
     s = from_json(data)
     assert s.spectrum == (Fraction(0), Fraction(3, 2))
+
+
+@pytest.mark.parametrize("kind", ["ultrametric", "metric"])
+def test_json_spectrum_out_of_order_is_refused(kind):
+    """A given spectrum is checked as given, as the decoders check theirs."""
+    data = {"kind": kind, "universe": [1, 2], "dist": [[1, 2, "1"]],
+            "spectrum": ["0", "2", "1"]}
+    with pytest.raises(StructureError, match="spectrum must be strictly increasing"):
+        from_json(data)
 
 
 def test_json_errors():

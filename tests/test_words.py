@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ramseylift import words
 from ramseylift.errors import BudgetError, DomainError, WordError
 from ramseylift.harness import random_word
 from ramseylift.words import (
@@ -111,6 +112,40 @@ def test_enumerate_budget():
     with pytest.raises(BudgetError) as err:
         list(enumerate_words(A0, 4, 1, 3))
     assert "at least 4" in str(err.value)
+
+
+def test_enumerate_empty_stream_ignores_the_limit():
+    assert list(enumerate_words(A0, 0, 0, 0)) == []
+    assert list(enumerate_words(A0, 2, 3, 0)) == []
+
+
+def test_enumerate_refuses_before_building_a_word(monkeypatch):
+    """The budget compares the exact count with the limit, so a refusal
+    builds no word, however long the words are."""
+    built = []
+    monkeypatch.setattr(words, "ParameterWord", lambda *args: built.append(args))
+    with pytest.raises(BudgetError) as err:
+        next(enumerate_words(A0, 3000, 1, 10_000))
+    assert str(err.value) == (
+        "enumeration of W^3000_1 exceeded limit 10000: at least 10001 words exist")
+    assert built == []
+
+
+def _recurrence_count(alphabet, n, m):
+    """|W^n_m| by f(p, t) = f(p-1, t) (|A| + t) + f(p-1, t-1): a position
+    reuses a letter or an introduced variable, or introduces the next one."""
+    row = [1] + [0] * m
+    for _ in range(n):
+        row = [row[t] * (len(alphabet) + t) + (row[t - 1] if t else 0) for t in range(m + 1)]
+    return row[m]
+
+
+def test_count_words_closed_form_matches_the_recurrence():
+    for size in range(4):
+        alphabet = Alphabet([str(j) for j in range(size)])
+        for n in range(13):
+            for m in range(9):
+                assert count_words(alphabet, n, m) == _recurrence_count(alphabet, n, m)
 
 
 @pytest.mark.parametrize("alphabet", [A0, A01])
