@@ -31,7 +31,6 @@ from .harness import SELECTORS, pa_harness, selector_impl, transfer_demo
 from .oracle import (
     ArrowInstance,
     Budget,
-    Coloring,
     StructureCategory,
     WordCategory,
     check_coloring,
@@ -370,9 +369,9 @@ def cmd_spectrum_check(args, rep):
 def cmd_spectrum_tighten(args, rep):
     values = _rationals(args.values)
     spec = ME.tight_complete(values)
-    text = ",".join(format_rational(v) for v in spec.values)
+    text = ",".join(format_rational(v) for v in spec)
     rep.emit(
-        {"values": [format_rational(v) for v in spec.values], "tight": spec.tight},
+        {"values": [format_rational(v) for v in spec], "tight": True},
         [text],
     )
 
@@ -389,7 +388,7 @@ def _verdict_lines(verdict) -> list[str]:
         "counts: " + " ".join(f"{k}={v}" for k, v in verdict.counts.items()),
     ]
     if verdict.bad_coloring is not None:
-        lines.append("bad_coloring: " + ",".join(map(str, verdict.bad_coloring.colors)))
+        lines.append("bad_coloring: " + ",".join(map(str, verdict.bad_coloring)))
     return lines
 
 
@@ -407,7 +406,7 @@ def cmd_arrow_decide(args, rep):
 def cmd_arrow_check_coloring(args, rep):
     inst = _arrow_instance(args)
     colors = _int_list(args.coloring, "--coloring")
-    verdict, detail = check_coloring(inst, Coloring(tuple(colors), args.k), _budget(args))
+    verdict, detail = check_coloring(inst, colors, _budget(args))
     payload = {
         "instance": {"kind": args.kind, "k": args.k},
         **verdict.to_json(inst.category),

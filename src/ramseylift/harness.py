@@ -301,7 +301,7 @@ def _premise(impl, FE, FD, D, k: int, budget: Budget, C):
                           f"pair (last decided: {json.dumps(label)})")
     raise PremiseError(
         impl.refusal.format(C=candidate, FD=FD, FE=FE, k=k)
-        + f"; bad coloring: {list(verdict.bad_coloring.colors)}",
+        + f"; bad coloring: {list(verdict.bad_coloring)}",
         bad_coloring=verdict.bad_coloring,
     )
 

@@ -17,7 +17,6 @@ exactly what makes this a metric.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetError, DomainError, SpectrumError, VerificationError
@@ -36,12 +35,6 @@ from .structures import (
 COMPLETION_STEP_CAP = 10**6
 
 
-@dataclass(frozen=True)
-class TightSpectrum:
-    values: tuple[Fraction, ...]
-    tight: bool
-
-
 def is_tight(values) -> bool:
     """Whether s_{i+j} <= s_i + s_j for all 1 <= i <= j with i+j <= k."""
     return _is_tight(checked_spectrum(values))
@@ -57,8 +50,9 @@ def _is_tight(vals: tuple[Fraction, ...]) -> bool:
     return True
 
 
-def tight_complete(values) -> TightSpectrum:
-    """Complete a sorted rational set to a tight superset.
+def tight_complete(values) -> tuple[Fraction, ...]:
+    """Complete a sorted rational set to a tight superset, returned as its
+    sorted values.
 
     Starts from t_0 = 0, t_1 = s_1 and repeatedly appends either the next
     original value or, when that would overshoot, the smallest pairwise sum
@@ -86,8 +80,8 @@ def tight_complete(values) -> TightSpectrum:
             covered += 1
         else:
             t.append(m)  # m < nxt, and m exceeds every value already placed
-    out = TightSpectrum(tuple(t), True)
-    if not is_tight(out.values):
+    out = tuple(t)
+    if not is_tight(out):
         raise VerificationError("tight completion produced a non-tight set")
     return out
 

@@ -36,6 +36,8 @@ class Budget:
     def __post_init__(self):
         if self.max_hom < 0:
             raise DomainError(f"hom budget must be nonnegative, got {self.max_hom}")
+        if self.max_colorings < 0:
+            raise DomainError(f"coloring budget must be nonnegative, got {self.max_colorings}")
 
 
 DEFAULT_BUDGET = Budget()
@@ -104,24 +106,11 @@ class ArrowInstance:
             raise DomainError(f"number of colors must be at least 2, got {self.k}")
 
 
-@dataclass(frozen=True)
-class Coloring:
-    """Colors 1..k assigned to hom(A, C) in its enumeration order."""
-
-    colors: tuple[int, ...]
-    k: int
-
-    def __post_init__(self):
-        for c in self.colors:
-            if not 1 <= c <= self.k:
-                raise DomainError(f"color {c} out of range 1..{self.k}")
-
-
 @dataclass
 class ArrowVerdict:
     holds: bool
     counts: dict
-    bad_coloring: Coloring | None = None
+    bad_coloring: tuple[int, ...] | None = None  # colors 1..k of hom(A, C) in its order
     witness: object | None = None
     witness_color: int | None = None
     table: CompositeTable | None = field(default=None, repr=False, compare=False)
@@ -129,7 +118,7 @@ class ArrowVerdict:
     def to_json(self, category) -> dict:
         out = {"holds": self.holds, "counts": dict(self.counts)}
         if self.bad_coloring is not None:
-            out["bad_coloring"] = list(self.bad_coloring.colors)
+            out["bad_coloring"] = list(self.bad_coloring)
         if self.witness is not None:
             out["witness"] = category.morphism_json(self.witness)
             out["witness_color"] = self.witness_color
@@ -292,33 +281,35 @@ def decide_arrow(instance: ArrowInstance, budget: Budget = DEFAULT_BUDGET) -> Ar
     rank = _first_bad_rank(table.comp_sets, k, n)
     if rank is None:
         return ArrowVerdict(True, table.counts(total), table=table)
-    bad = Coloring(tuple(c + 1 for c in _gray_digits(rank, n, k)), k)
+    bad = tuple(c + 1 for c in _gray_digits(rank, n, k))
     return ArrowVerdict(False, table.counts(rank + 1), bad_coloring=bad, table=table)
 
 
 def check_coloring(
     instance: ArrowInstance,
-    coloring: Coloring,
+    coloring: Sequence[int],
     budget: Budget = DEFAULT_BUDGET,
 ) -> tuple[ArrowVerdict, list[dict]]:
     """Hunt for a monochromatic candidate under one specific coloring of
-    hom(A, C), given in its enumeration order.
+    hom(A, C): a color in 1..k per morphism, in its enumeration order.
 
     Returns the verdict (with the witness when found) and, per candidate,
     the sorted list of color classes its composites meet.
     """
-    if coloring.k != instance.k:
-        raise DomainError(f"coloring has {coloring.k} colors, the instance {instance.k}")
+    coloring = tuple(coloring)
+    for c in coloring:
+        if not 1 <= c <= instance.k:
+            raise DomainError(f"color {c} out of range 1..{instance.k}")
     cat, homs = instance.category, _hom_sets(instance, budget)
-    if len(coloring.colors) != len(homs[0]):
+    if len(coloring) != len(homs[0]):
         raise DomainError(
-            f"coloring covers {len(coloring.colors)} morphisms, hom(A,C) has {len(homs[0])}"
+            f"coloring covers {len(coloring)} morphisms, hom(A,C) has {len(homs[0])}"
         )
     table = CompositeTable(cat, *homs)
     detail, witness, color = [], None, None
     for w, comps in zip(table.hom_bc, table.comp_sets):
         candidate = cat.morphism(instance.B, instance.C, w)
-        met = sorted({coloring.colors[i] for i in comps})
+        met = sorted({coloring[i] for i in comps})
         detail.append({"candidate": cat.morphism_json(candidate), "colors_met": met})
         if witness is None and len(met) <= 1:
             witness, color = candidate, met[0] if met else 1
@@ -375,8 +366,6 @@ def decide_gr(
         checked += 1
         if not any(len({assignment[i] for i in comps}) <= 1 for comps in comp):
             counts["colorings_checked"] = checked
-            return ArrowVerdict(
-                False, counts, bad_coloring=Coloring(tuple(c + 1 for c in assignment), k)
-            )
+            return ArrowVerdict(False, counts, bad_coloring=tuple(c + 1 for c in assignment))
     counts["colorings_checked"] = checked
     return ArrowVerdict(True, counts)

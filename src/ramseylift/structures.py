@@ -155,14 +155,8 @@ class LinOrderedPoset:
     def below(self, a, b) -> bool:
         return (a, b) in self.leq
 
-    def comparable(self, a, b) -> bool:
-        return (a, b) in self.leq or (b, a) in self.leq
-
     def strict_pairs(self) -> list[tuple]:
         return [(a, b) for (a, b) in self.leq if a != b]
-
-    def downset_of(self, a) -> frozenset:
-        return frozenset(b for b in self.universe if self.below(b, a))
 
     @cached_property
     def relation_rows(self) -> tuple[int, ...]:
@@ -182,7 +176,32 @@ def _dist_matrix(order: BaseOrder, dist: Mapping) -> tuple[tuple[Fraction, ...],
     return tuple(tuple(row) for row in mat)
 
 
-class _SpaceMixin:
+@dataclass(frozen=True)
+class _Space:
+    """A finite space with exact distances on a linearly ordered universe:
+    the distance matrix in rank order and a spectrum covering it.  The two
+    metric kinds differ only in ``kind`` (and the ultrametric's balls), so
+    the generated ``__eq__`` tells a space of one kind from the other."""
+
+    order: BaseOrder
+    dmatrix: tuple[tuple[Fraction, ...], ...]
+    spectrum: tuple[Fraction, ...]
+
+    relation_values = property(lambda self: self.spectrum)
+
+    @classmethod
+    def build(cls, points, dist, spectrum=None):
+        order = BaseOrder(points)
+        dist = {tuple(k): parse_rational(v) for k, v in dict(dist).items()}
+        matrix = _dist_matrix(order, dist)
+        if spectrum is None:
+            spect = tuple(sorted({Fraction(0), *(v for row in matrix for v in row)}))
+        else:
+            spect = tuple(parse_rational(v) for v in spectrum)
+        space = cls(order, matrix, spect)
+        validate_structure(space)
+        return space
+
     def d(self, x, y) -> Fraction:
         return self.dmatrix[self.order.rank(x)][self.order.rank(y)]
 
@@ -191,16 +210,9 @@ class _SpaceMixin:
         return self.order.elements
 
     def attained(self) -> frozenset[Fraction]:
-        """All distances attained, including 0 for a nonempty space."""
-        values = {Fraction(0)} if self.universe else set()
-        for x, y in itertools.combinations(self.universe, 2):
-            values.add(self.d(x, y))
-        return frozenset(values)
-
-    def point_ball(self, x, radius: Fraction) -> frozenset:
-        return frozenset(y for y in self.universe if self.d(x, y) <= radius)
-
-    relation_values = property(lambda self: self.spectrum)
+        """All distances attained, read off the diagonal (0 for a nonempty
+        space) and the upper triangle of the matrix."""
+        return frozenset(v for r, row in enumerate(self.dmatrix) for v in row[r:])
 
     @cached_property
     def scaled(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
@@ -226,30 +238,8 @@ def _members(elems: tuple, mask: int) -> frozenset:
     return frozenset(x for r, x in enumerate(elems) if mask >> r & 1)
 
 
-def _build_space(cls, points, dist, spectrum):
-    order = BaseOrder(points)
-    dist = {tuple(k): parse_rational(v) for k, v in dict(dist).items()}
-    matrix = _dist_matrix(order, dist)
-    if spectrum is None:
-        spect = tuple(sorted({Fraction(0), *(v for row in matrix for v in row)}))
-    else:
-        spect = tuple(parse_rational(v) for v in spectrum)
-    space = cls(order, matrix, spect)
-    validate_structure(space)
-    return space
-
-
-@dataclass(frozen=True)
-class ConvUltrametricSpace(_SpaceMixin):
-    order: BaseOrder
-    dmatrix: tuple[tuple[Fraction, ...], ...]
-    spectrum: tuple[Fraction, ...]
-
+class ConvUltrametricSpace(_Space):
     kind = "ultrametric"
-
-    @classmethod
-    def build(cls, points, dist, spectrum=None) -> "ConvUltrametricSpace":
-        return _build_space(cls, points, dist, spectrum)
 
     @cached_property
     def ball_masks(self) -> tuple[tuple[int, ...], ...]:
@@ -259,17 +249,8 @@ class ConvUltrametricSpace(_SpaceMixin):
                      for radius in spect)
 
 
-@dataclass(frozen=True)
-class LinOrderedMetricSpace(_SpaceMixin):
-    order: BaseOrder
-    dmatrix: tuple[tuple[Fraction, ...], ...]
-    spectrum: tuple[Fraction, ...]
-
+class LinOrderedMetricSpace(_Space):
     kind = "metric"
-
-    @classmethod
-    def build(cls, points, dist, spectrum=None) -> "LinOrderedMetricSpace":
-        return _build_space(cls, points, dist, spectrum)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +422,7 @@ def check_embedding(f, source, target) -> Embedding:
     """
     if source.kind != target.kind:
         raise EmbeddingError(f"kind mismatch: {source.kind} into {target.kind}")
-    m = f.as_dict if isinstance(f, Embedding) else dict(f)
+    m = dict(f)
     for v in source.universe:
         if v not in m:
             raise EmbeddingError(f"map does not cover source element {v!r}")
@@ -536,8 +517,7 @@ def induced_substructure(s, subset: Iterable):
     dist = {
         (a, b): s.d(a, b) for a, b in itertools.combinations(vertices, 2)
     }
-    cls = ConvUltrametricSpace if s.kind == "ultrametric" else LinOrderedMetricSpace
-    return cls.build(vertices, dist, s.spectrum)
+    return type(s).build(vertices, dist, s.spectrum)
 
 
 # ---------------------------------------------------------------------------

@@ -68,11 +68,6 @@ def encode_ultrametric(space: ConvUltrametricSpace) -> BallPoset:
     return _encode(space)[0]
 
 
-def point_ball_pair(space: ConvUltrametricSpace, x, i: int) -> Ball:
-    """The ball around x with nominal radius index i."""
-    return Ball(space.point_ball(x, space.spectrum[i]), i)
-
-
 def _dist_raw(spect: tuple[Fraction, ...], a: tuple, b: tuple) -> Fraction:
     j = len(a)
     while j and a[j - 1] == b[j - 1]:

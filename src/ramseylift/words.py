@@ -196,7 +196,10 @@ def enumerate_words(alphabet: Alphabet, n: int, m: int, limit: int) -> Iterator[
         raise DomainError("limit must be nonnegative")
     if m > n or n == 0:
         return
-    if count_words(alphabet, n, m) > limit:
+    # The (|A|+m)^(n-m) words that open with x1 ... xm bound the count from
+    # below, by bit length, before any big power of the exact count is taken.
+    bound_bits = (n - m) * ((len(alphabet) + m).bit_length() - 1)
+    if bound_bits >= limit.bit_length() or count_words(alphabet, n, m) > limit:
         raise BudgetError(f"enumeration of W^{n}_{m} exceeded limit {limit}: "
                           f"at least {limit + 1} words exist")
     letters = [letter_token(j) for j in range(len(alphabet))]

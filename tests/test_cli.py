@@ -526,6 +526,26 @@ def test_word_count_refusal_is_prompt_at_a_million_letters(capsys):
                      "|W^1000000_1| = <301030 digits> exceeds the hom budget 10000"}
 
 
+def test_word_enumerate_refusal_is_prompt_at_ten_million_letters(capsys):
+    """A lower bound on |W^n_m| refuses before the exact count's powers of
+    n * log2(|A| + m) bits are computed."""
+    start = time.perf_counter()
+    code, error = _error(capsys, "word", "enumerate", "--alphabet", "0,1", "-n", "10000000",
+                         "-m", "3")
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert error == {"type": "BudgetError", "message": "enumeration of W^10000000_3 exceeded "
+                     "limit 10000: at least 10001 words exist"}
+
+
+def test_negative_coloring_budget_is_a_domain_error(capsys):
+    code, error = _error(capsys, "arrow", "gr", "--alphabet", "0", "-n", "2", "-m", "1",
+                         "--ell", "1", "-k", "2", "--budget-colorings", "-1")
+    assert code == 1
+    assert error == {"type": "DomainError",
+                     "message": "coloring budget must be nonnegative, got -1"}
+
+
 def test_word_premise_refusal_builds_no_word(files, capsys, monkeypatch):
     """The premise sizes hom(FE, C) by its exact count, so a C past the
     hom budget is refused before any word of length C is built."""

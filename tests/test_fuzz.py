@@ -169,6 +169,8 @@ def argvs(draw):
 @given(argv=argvs())
 @example(argv=["structure", "embeddings", "--source", "@gpoint", "--target", "@gpoint",
                "--budget-hom", "-2"])
+@example(argv=["arrow", "gr", "--alphabet", "0", "-n", "2", "-m", "1", "--ell", "1", "-k", "2",
+               "--budget-colorings", "-1"])
 def test_fuzz_argv(paths, argv):
     argv = [paths[a[1:]] if a.startswith("@") else a for a in argv]
     assert _run(argv) in (0, 1, 2), argv

@@ -156,7 +156,7 @@ def test_transfer_demo_premise_error_carries_coloring():
     with pytest.raises(PremiseError) as err:
         transfer_demo("poset", CHAIN2, POINT_POSET, 2, C=2, seed=1)
     assert err.value.bad_coloring is not None
-    assert len(err.value.bad_coloring.colors) == 3
+    assert len(err.value.bad_coloring) == 3
 
 
 def test_transfer_demo_poset_premise_error():
@@ -164,7 +164,7 @@ def test_transfer_demo_poset_premise_error():
 
     with pytest.raises(PremiseError) as err:
         transfer_demo("ultrametric", U_PAIR, U_POINT, 2, C=powerset_poset(2), seed=1)
-    assert len(err.value.bad_coloring.colors) == 5
+    assert len(err.value.bad_coloring) == 5
 
 
 def test_transfer_demo_budget_refusal():

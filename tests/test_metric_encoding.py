@@ -46,14 +46,12 @@ def test_is_tight_input_checked():
 
 
 def test_tight_complete_trace():
-    out = tight_complete([0, 1, 5])
-    assert out.values == tuple(Fraction(i) for i in range(6))
-    assert out.tight
+    assert tight_complete([0, 1, 5]) == tuple(Fraction(i) for i in range(6))
 
 
 def test_tight_complete_already_tight():
-    assert tight_complete([0, 1, 2]).values == (0, 1, 2)
-    assert tight_complete([0, 1]).values == (0, 1)
+    assert tight_complete([0, 1, 2]) == (0, 1, 2)
+    assert tight_complete([0, 1]) == (0, 1)
 
 
 def test_tight_complete_preserves_endpoints_and_membership():
@@ -64,11 +62,11 @@ def test_tight_complete_preserves_endpoints_and_membership():
         )
         values = [Fraction(0)] + nonzero
         out = tight_complete(values)
-        assert is_tight(out.values)
-        assert set(values) <= set(out.values)
-        assert out.values[1] == values[1]
-        assert out.values[-1] == values[-1]
-        for t in out.values:
+        assert is_tight(out)
+        assert set(values) <= set(out)
+        assert out[1] == values[1]
+        assert out[-1] == values[-1]
+        for t in out:
             assert is_nonneg_combination(t, nonzero)
 
 
@@ -221,8 +219,8 @@ def test_finite_rational_pipeline():
         if len(attained) < 2:
             continue
         completed = tight_complete(attained)
-        assert is_tight(completed.values)
-        nonzero = [v for v in completed.values if v > 0]
+        assert is_tight(completed)
+        nonzero = [v for v in completed if v > 0]
         assert nonzero[0] == attained[1]
         assert nonzero[-1] == attained[-1]
         assert all(attained[1] <= v <= attained[-1] for v in nonzero)

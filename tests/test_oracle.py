@@ -9,7 +9,6 @@ from ramseylift.errors import BudgetError, DomainError
 from ramseylift.oracle import (
     ArrowInstance,
     Budget,
-    Coloring,
     CompositeTable,
     StructureCategory,
     WordCategory,
@@ -76,7 +75,7 @@ def _reference_decide(inst: ArrowInstance):
     steps = _gray_steps(n, inst.k)
     for rank in itertools.count():
         if not any(len({state[i] for i in c}) <= 1 for c in comps):
-            return False, Coloring(tuple(c + 1 for c in state), inst.k), rank + 1
+            return False, tuple(c + 1 for c in state), rank + 1
         step = next(steps, None)
         if step is None:
             return True, None, rank + 1
@@ -208,7 +207,7 @@ def test_two_chain_fails_with_recheckable_witness():
     inst = ArrowInstance(POSETS, POINT, CHAIN2, CHAIN2, 2)
     verdict = decide_arrow(inst)
     assert not verdict.holds
-    assert sorted(verdict.bad_coloring.colors) == [1, 2]
+    assert sorted(verdict.bad_coloring) == [1, 2]
     recheck, detail = check_coloring(inst, verdict.bad_coloring)
     assert not recheck.holds
     assert all(len(d["colors_met"]) == 2 for d in detail)
@@ -223,29 +222,29 @@ def test_rigid_self_instance_trivially_holds():
 
 def test_check_coloring_examples():
     inst = ArrowInstance(POSETS, POINT, CHAIN2, CHAIN3, 2)
-    verdict, _ = check_coloring(inst, Coloring((1, 1, 2), 2))
+    verdict, _ = check_coloring(inst, (1, 1, 2))
     assert verdict.holds
     assert verdict.witness.image() == (1, 2)
-    verdict, _ = check_coloring(inst, Coloring((1, 1, 1), 2))
+    verdict, _ = check_coloring(inst, (1, 1, 1))
     assert verdict.holds and verdict.witness_color == 1
     assert verdict.witness.image() == (1, 2)  # first in enumeration order
     bad = ArrowInstance(POSETS, POINT, CHAIN2, CHAIN2, 2)
-    verdict, _ = check_coloring(bad, Coloring((1, 2), 2))
+    verdict, _ = check_coloring(bad, (1, 2))
     assert not verdict.holds
 
 
 def test_check_coloring_requires_total_assignment():
     inst = ArrowInstance(POSETS, POINT, CHAIN2, CHAIN3, 2)
     with pytest.raises(DomainError, match="covers 2 morphisms"):
-        check_coloring(inst, Coloring((1, 2), 2))
+        check_coloring(inst, (1, 2))
 
 
 def test_check_coloring_refuses_a_foreign_number_of_colors():
     """A 3-coloring is no coloring of a 2-color instance, even when its
     composites happen to meet one color."""
     inst = ArrowInstance(POSETS, POINT, CHAIN2, CHAIN3, 2)
-    with pytest.raises(DomainError, match="coloring has 3 colors, the instance 2"):
-        check_coloring(inst, Coloring((1, 3, 3), 3))
+    with pytest.raises(DomainError, match=r"color 3 out of range 1\.\.2"):
+        check_coloring(inst, (1, 3, 3))
 
 
 def test_holds_implies_random_colorings_have_witnesses():
@@ -253,7 +252,7 @@ def test_holds_implies_random_colorings_have_witnesses():
     assert decide_arrow(inst).holds
     rng = random.Random("oracle:roundtrip")
     for _ in range(100):
-        coloring = Coloring(tuple(rng.randint(1, 2) for _ in range(3)), 2)
+        coloring = tuple(rng.randint(1, 2) for _ in range(3))
         verdict, _ = check_coloring(inst, coloring)
         assert verdict.holds
 
@@ -308,7 +307,7 @@ def test_word_premise_decisions_match_the_reference(k):
 def test_word_premise_bad_coloring_is_confirmed():
     inst = ArrowInstance(WordCategory(A0), 1, 2, 2, 2)
     verdict = decide_arrow(inst)
-    assert verdict.bad_coloring == Coloring((2, 1, 1), 2)
+    assert verdict.bad_coloring == (2, 1, 1)
     recheck, _ = check_coloring(inst, verdict.bad_coloring)
     assert not recheck.holds
 
@@ -321,6 +320,14 @@ def test_budget_refusals_name_the_blowup():
         decide_arrow(inst, Budget(max_hom=1))
     with pytest.raises(BudgetError, match=r"2\^31"):
         decide_gr(A0, 5, 2, 1, 2, Budget(max_colorings=100_000))
+
+
+def test_negative_budgets_are_domain_errors():
+    with pytest.raises(DomainError, match="^hom budget must be nonnegative, got -2$"):
+        Budget(max_hom=-2)
+    with pytest.raises(DomainError, match="^coloring budget must be nonnegative, got -1$"):
+        Budget(max_colorings=-1)
+    assert Budget(max_hom=0, max_colorings=0) == Budget(0, 0)
 
 
 def test_repeated_decisions_agree():
@@ -363,7 +370,7 @@ def test_monotonicity_probe_logged_not_asserted():
     rng = random.Random("oracle:monotone")
     outcomes = []
     for _ in range(20):
-        coloring = Coloring(tuple(rng.randint(1, 2) for _ in range(4)), 2)
+        coloring = tuple(rng.randint(1, 2) for _ in range(4))
         verdict, _ = check_coloring(inst_big, coloring)
         outcomes.append(verdict.holds)
     print(f"monotonicity probe: {sum(outcomes)}/{len(outcomes)} colorings had witnesses")

@@ -340,7 +340,7 @@ def test_downsets_complete_and_sorted(n):
         for d in found:
             assert all(p.below(b, a) <= (b in d) for a in d for b in p.universe)
         for a in p.universe:
-            assert p.downset_of(a) in found
+            assert frozenset(b for b in p.universe if p.below(b, a)) in found
         # brute-force completeness
         expected = set()
         for mask in range(1, 1 << n):
@@ -431,6 +431,21 @@ def test_json_spectrum_out_of_order_is_refused(kind):
             "spectrum": ["0", "2", "1"]}
     with pytest.raises(StructureError, match="spectrum must be strictly increasing"):
         from_json(data)
+
+
+def test_the_two_space_kinds_differ_on_the_same_data():
+    """An ultrametric and a metric space on one matrix and spectrum compare
+    unequal, and induced substructures and JSON keep each one's kind."""
+    args = (["a", "b", "c"], {("a", "b"): 1, ("a", "c"): 2, ("b", "c"): 2}, [0, 1, 2])
+    u, m = ConvUltrametricSpace.build(*args), LinOrderedMetricSpace.build(*args)
+    assert (u.order, u.dmatrix, u.spectrum) == (m.order, m.dmatrix, m.spectrum)
+    assert u != m and m != u
+    assert len({u, m}) == 2
+    for s in (u, m):
+        sub = induced_substructure(s, ["a", "c"])
+        assert type(sub) is type(s)
+        assert sub == type(s).build(["a", "c"], {("a", "c"): 2}, [0, 1, 2])
+        assert from_json(to_json(s)) == s
 
 
 def test_json_errors():

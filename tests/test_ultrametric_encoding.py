@@ -23,7 +23,6 @@ from ramseylift.ultrametric_encoding import (
     dist_ultra_tuples,
     encode_ultrametric,
     phi_ultra,
-    point_ball_pair,
     reduce_spectrum,
     witness_ultra,
 )
@@ -52,7 +51,7 @@ def test_encode_two_point_shape():
     ab = Ball(frozenset({"a", "b"}), 1)
     assert poset.universe == (a0, b0, ab)
     assert poset.below(a0, ab) and poset.below(b0, ab)
-    assert not poset.comparable(a0, b0)
+    assert not poset.below(a0, b0) and not poset.below(b0, a0)
 
 
 def test_encode_is_valid_ordered_poset():
@@ -96,7 +95,7 @@ def test_decode_examples():
     space = decode_poset_ultra(chain2, [0, Fraction(1, 2)])
     assert len(space.universe) == 2
     assert space.d((1,), (2,)) == Fraction(1, 2)
-    anti2 = next(p for p in all_posets_on(2) if not p.comparable(1, 2))
+    anti2 = next(p for p in all_posets_on(2) if not (p.below(1, 2) or p.below(2, 1)))
     space4 = decode_poset_ultra(anti2, S012)
     assert len(space4.universe) == 4
     assert set(space4.attained()) <= set(S012)
@@ -177,10 +176,6 @@ def test_reduce_spectrum():
     assert reduce_spectrum(ULTRA3).spectrum == ULTRA3.spectrum
     one = ConvUltrametricSpace.build(["a"], {}, [0, 5])
     assert reduce_spectrum(one).spectrum == (Fraction(0),)
-
-
-def test_point_ball_pair():
-    assert point_ball_pair(ULTRA3, "a", 1) == Ball(frozenset({"a", "b"}), 1)
 
 
 def test_ball_repr_is_pinned():

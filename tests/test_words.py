@@ -140,6 +140,28 @@ def _recurrence_count(alphabet, n, m):
     return row[m]
 
 
+def _refuses(alphabet, n, m, limit):
+    try:
+        next(enumerate_words(alphabet, n, m, limit), None)
+    except BudgetError:
+        return True
+    return False
+
+
+def test_enumerate_refuses_exactly_when_the_count_passes_the_limit():
+    """The lower bound that refuses long enumerations early refuses none
+    that the exact count allows, also at its own bit-length edges."""
+    for size in range(4):
+        alphabet = Alphabet([str(j) for j in range(size)])
+        for n in range(1, 10):
+            for m in range(n + 1):
+                count, bound = count_words(alphabet, n, m), (size + m) ** (n - m)
+                limits = {0, 1, count - 1, count, count + 1, bound - 1, bound,
+                          2 ** bound.bit_length() - 1, 2 ** bound.bit_length()}
+                for limit in sorted(x for x in limits if x >= 0):
+                    assert _refuses(alphabet, n, m, limit) == (count > limit), (size, n, m, limit)
+
+
 def test_count_words_closed_form_matches_the_recurrence():
     for size in range(4):
         alphabet = Alphabet([str(j) for j in range(size)])
