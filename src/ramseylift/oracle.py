@@ -328,10 +328,16 @@ def decide_gr(
 ) -> ArrowVerdict:
     """Direct decision of n -> (m)^ell_k for parameter words.
 
-    Deliberately independent of :func:`decide_arrow`: colorings are walked
-    in plain odometer order with no incremental bookkeeping, so the two
-    routes cross-check each other.  Errors out when no m-parameter word of
-    length n exists.
+    Deliberately independent of :func:`decide_arrow`, so the two routes
+    cross-check each other: colorings of W^n_ell are walked depth first in
+    plain odometer order (the last word's color changes fastest), one
+    position at a time.  A candidate is tested once, when the position of
+    its last composite gets its color; when one is monochromatic under a
+    prefix, every extension of that prefix is decided at once and the walk
+    skips the whole block.  ``colorings_checked`` counts the colorings
+    decided, skipped blocks included: k^|W^n_ell| when the arrow holds,
+    else the first bad coloring's odometer rank plus one.  Errors out when
+    no m-parameter word of length n exists.
     """
     if k < 2:
         raise DomainError(f"number of colors must be at least 2, got {k}")
@@ -352,20 +358,25 @@ def decide_gr(
     mids = list(W.enumerate_words(alphabet, n, m, budget.max_hom))
     plugs = list(W.enumerate_words(alphabet, m, ell, budget.max_hom))
     index = {w.symbols: i for i, w in enumerate(small)}
-    comp = [
-        sorted({index[W.compose(u, v).symbols] for v in plugs}) for u in mids
-    ]
-    counts = {
-        "hom_AC": len(small),
-        "hom_BC": len(mids),
-        "hom_AB": len(plugs),
-        "colorings_checked": 0,
-    }
-    checked = 0
-    for assignment in itertools.product(range(k), repeat=len(small)):
-        checked += 1
-        if not any(len({assignment[i] for i in comps}) <= 1 for comps in comp):
-            counts["colorings_checked"] = checked
-            return ArrowVerdict(False, counts, bad_coloring=tuple(c + 1 for c in assignment))
-    counts["colorings_checked"] = checked
-    return ArrowVerdict(True, counts)
+    counts = {"hom_AC": len(small), "hom_BC": len(mids), "hom_AB": len(plugs)}
+    size = len(small)
+    closing = [[] for _ in range(size)]  # closing[i]: the candidates whose last composite is i
+    for u in mids:
+        comps = sorted({index[W.compose(u, v).symbols] for v in plugs})
+        if not comps:  # no composite at all: monochromatic under every coloring
+            return ArrowVerdict(True, {**counts, "colorings_checked": k**size})
+        closing[comps[-1]].append(comps)
+    block = [k ** (size - 1 - i) for i in range(size)]  # extensions of a prefix through i
+    prefix, checked = [], 0
+    while len(prefix) < size:
+        prefix.append(0)
+        while any(all(prefix[j] == prefix[comps[0]] for j in comps)
+                  for comps in closing[len(prefix) - 1]):
+            checked += block[len(prefix) - 1]
+            while prefix and prefix[-1] == k - 1:
+                prefix.pop()
+            if not prefix:
+                return ArrowVerdict(True, {**counts, "colorings_checked": checked})
+            prefix[-1] += 1
+    return ArrowVerdict(False, {**counts, "colorings_checked": checked + 1},
+                        bad_coloring=tuple(c + 1 for c in prefix))

@@ -196,10 +196,18 @@ def enumerate_words(alphabet: Alphabet, n: int, m: int, limit: int) -> Iterator[
         raise DomainError("limit must be nonnegative")
     if m > n or n == 0:
         return
-    # The (|A|+m)^(n-m) words that open with x1 ... xm bound the count from
-    # below, by bit length, before any big power of the exact count is taken.
-    bound_bits = (n - m) * ((len(alphabet) + m).bit_length() - 1)
-    if bound_bits >= limit.bit_length() or count_words(alphabet, n, m) > limit:
+    # Lower bounds refuse before any big power of the exact count is taken:
+    # the (|A|+m)^(n-m) words that open with x1 ... xm, by bit length, and
+    # for 1 <= m < n the C(n, m-1) letter-free words whose variables other
+    # than one fill a single position each.  Only x1 ... xn has m = n.
+    if m == n:
+        refused = limit < 1
+    else:
+        bound_bits = (n - m) * ((len(alphabet) + m).bit_length() - 1)
+        refused = (bound_bits >= limit.bit_length()
+                   or (m >= 1 and math.comb(n, m - 1) > limit)
+                   or count_words(alphabet, n, m) > limit)
+    if refused:
         raise BudgetError(f"enumeration of W^{n}_{m} exceeded limit {limit}: "
                           f"at least {limit + 1} words exist")
     letters = [letter_token(j) for j in range(len(alphabet))]

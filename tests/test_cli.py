@@ -538,6 +538,18 @@ def test_word_enumerate_refusal_is_prompt_at_ten_million_letters(capsys):
                      "limit 10000: at least 10001 words exist"}
 
 
+def test_word_enumerate_refusal_is_prompt_when_m_is_close_to_n(capsys):
+    """With n - m = 1 the bound (|A|+m)^(n-m) is small, so the partition
+    bound C(n, m-1) refuses before the exact count's m+1 big powers."""
+    start = time.perf_counter()
+    code, error = _error(capsys, "word", "enumerate", "--alphabet", "0", "-n", "10000",
+                         "-m", "9999", "--limit", "1000000")
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert error == {"type": "BudgetError", "message": "enumeration of W^10000_9999 exceeded "
+                     "limit 1000000: at least 1000001 words exist"}
+
+
 def test_negative_coloring_budget_is_a_domain_error(capsys):
     code, error = _error(capsys, "arrow", "gr", "--alphabet", "0", "-n", "2", "-m", "1",
                          "--ell", "1", "-k", "2", "--budget-colorings", "-1")

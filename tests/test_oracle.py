@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -263,6 +264,67 @@ def test_gr_examples():
     assert not verdict.holds  # the identity cannot flatten 3 words of 2 colors
     with pytest.raises(DomainError, match="no word"):
         decide_gr(A0, 1, 2, 1, 2)
+
+
+def _reference_gr(alphabet, n, m, ell, k):
+    """(holds, counts, bad coloring) of n -> (m)^ell_k by testing every
+    candidate under every coloring of W^n_ell, one coloring at a time in
+    itertools.product order."""
+    small = list(W.enumerate_words(alphabet, n, ell, 10**6))
+    mids = list(W.enumerate_words(alphabet, n, m, 10**6))
+    plugs = list(W.enumerate_words(alphabet, m, ell, 10**6))
+    index = {w.symbols: i for i, w in enumerate(small)}
+    comp = [sorted({index[W.compose(u, v).symbols] for v in plugs}) for u in mids]
+    counts = {"hom_AC": len(small), "hom_BC": len(mids), "hom_AB": len(plugs)}
+    checked = 0
+    for assignment in itertools.product(range(k), repeat=len(small)):
+        checked += 1
+        if not any(len({assignment[i] for i in comps}) <= 1 for comps in comp):
+            return False, {**counts, "colorings_checked": checked}, tuple(c + 1 for c in assignment)
+    return True, {**counts, "colorings_checked": checked}, None
+
+
+def test_gr_matches_the_one_coloring_at_a_time_reference():
+    budget = Budget(max_colorings=3 * 10**5)
+    compared = []
+    for letters in ([], ["0"], ["0", "1"]):
+        alphabet = Alphabet(letters)
+        for n in range(6):
+            for m in range(n + 1):
+                for ell in range(m + 2):
+                    for k in (2, 3, 4):
+                        verdict = _refused_or_verdict(decide_gr, alphabet, n, m, ell, k, budget)
+                        if verdict is None:
+                            continue
+                        got = (verdict.holds, verdict.counts, verdict.bad_coloring)
+                        assert got == _reference_gr(alphabet, n, m, ell, k), (letters, n, m, ell, k)
+                        compared.append((len(letters), n, m, ell, k, verdict.holds))
+    assert len(compared) == 465 and {c[-1] for c in compared} == {True, False}
+    # no word of length n and no letter-free one, so hom(B,C) and hom(A,C) are empty
+    assert (0, 3, 0, 0, 2, False) in compared
+
+
+def test_gr_skips_the_block_under_a_monochromatic_prefix():
+    """W^3_1 over {0} has 7 words, 0: x1 x1 x1 to 6: 0 0 x1.  Under the
+    prefix (1, 1, 1, 1, 1) the composites 0, 3, 4 of x1 x2 x2 share color 1,
+    so ranks 0-3 are decided at once; ranks 4-5 and then 6, 7, 8-9 and 10
+    follow as blocks too, and rank 11 is the first bad coloring."""
+    verdict = decide_gr(A0, 3, 2, 1, 2)
+    assert verdict.bad_coloring == (1, 1, 1, 2, 1, 2, 2)
+    assert verdict.counts == {"hom_AC": 7, "hom_BC": 6, "hom_AB": 3, "colorings_checked": 12}
+    assert (verdict.holds, verdict.counts, verdict.bad_coloring) == _reference_gr(A0, 3, 2, 1, 2)
+    recheck, _ = check_coloring(ArrowInstance(WordCategory(A0), 1, 2, 3, 2), verdict.bad_coloring)
+    assert not recheck.holds
+
+
+def test_gr_decides_past_the_reach_of_a_coloring_at_a_time():
+    """Each of the 31 words of W^5_1 is a candidate's only composite, so the
+    first position decides half of the 2^31 colorings at each of its colors."""
+    start = time.perf_counter()
+    verdict = decide_gr(A0, 5, 1, 1, 2, Budget(max_colorings=2**31))
+    assert time.perf_counter() - start < 1
+    assert verdict.holds
+    assert verdict.counts == {"hom_AC": 31, "hom_BC": 31, "hom_AB": 1, "colorings_checked": 2**31}
 
 
 def test_gr_agrees_with_generic_oracle_small():

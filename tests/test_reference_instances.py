@@ -72,6 +72,47 @@ def test_paley_17_coloring_shows_k17_does_not_arrow_k4():
                               "above the budget of 2000000")
 
 
+def gf16_times(a, b):
+    """The product in GF(16) = GF(2)[x]/(x^4 + x + 1), elements as 4-bit
+    polynomials over GF(2): shift-and-add, reducing x^4 to x + 1."""
+    out = 0
+    for _ in range(4):
+        if b & 1:
+            out ^= a
+        b >>= 1
+        a <<= 1
+        if a & 0b10000:
+            a ^= 0b10011
+    return out
+
+
+def test_greenwood_gleason_coloring_shows_k16_does_not_arrow_k3_in_three_colors():
+    """The nonzero cubes of GF(16) are a subgroup of index 3 in its cyclic
+    group of units; coloring edge {x, y} by the coset of x + y leaves no
+    monochromatic triangle, so R(3,3,3) > 16."""
+    powers = [1]
+    while len(powers) < 15:
+        powers.append(gf16_times(powers[-1], 0b10))
+    assert sorted(powers) == list(range(1, 16))  # x generates the units
+    cubes = {gf16_times(gf16_times(a, a), a) for a in range(1, 16)}
+    assert cubes == {powers[e] for e in range(0, 15, 3)}
+    coset = {a: e % 3 + 1 for e, a in enumerate(powers)}  # the exponent of x modulo 3
+    color = {(x, y): coset[x ^ y] for x, y in itertools.combinations(range(16), 2)}
+    assert set(color.values()) == {1, 2, 3}
+    for x, y, z in itertools.combinations(range(16), 3):
+        assert len({color[x, y], color[x, z], color[y, z]}) > 1, (x, y, z)
+    colors = tuple(color[i, j] for i, j in embedding_ranks(complete_graph(2), complete_graph(16)))
+    inst = ArrowInstance(GRAPHS, complete_graph(2), complete_graph(3), complete_graph(16), 3)
+    verdict, detail = check_coloring(inst, colors)
+    assert not verdict.holds and verdict.bad_coloring == colors
+    assert verdict.counts == {"hom_AC": 120, "hom_BC": 560, "hom_AB": 3, "colorings_checked": 1}
+    assert all(len(d["colors_met"]) > 1 for d in detail)
+    with pytest.raises(BudgetError) as err:
+        decide_arrow(inst)
+    assert str(err.value) == ("deciding needs k^|hom(A,C)| = 3^120 = <58 digits> colorings, "
+                              "above the budget of 2000000")
+
+
 def height(p):
     """The number of elements of a longest chain of the poset."""
     longest = {}

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -149,17 +150,34 @@ def _refuses(alphabet, n, m, limit):
 
 
 def test_enumerate_refuses_exactly_when_the_count_passes_the_limit():
-    """The lower bound that refuses long enumerations early refuses none
-    that the exact count allows, also at its own bit-length edges."""
+    """The lower bounds that refuse long enumerations early refuse none
+    that the exact count allows, also at their own edges."""
     for size in range(4):
         alphabet = Alphabet([str(j) for j in range(size)])
         for n in range(1, 10):
             for m in range(n + 1):
                 count, bound = count_words(alphabet, n, m), (size + m) ** (n - m)
+                partitions = math.comb(n, m - 1) if 1 <= m < n else 0
                 limits = {0, 1, count - 1, count, count + 1, bound - 1, bound,
-                          2 ** bound.bit_length() - 1, 2 ** bound.bit_length()}
+                          2 ** bound.bit_length() - 1, 2 ** bound.bit_length(),
+                          partitions - 1, partitions}
                 for limit in sorted(x for x in limits if x >= 0):
                     assert _refuses(alphabet, n, m, limit) == (count > limit), (size, n, m, limit)
+
+
+def test_word_count_lower_bounds_hold():
+    """(|A|+m)^(n-m) words open with x1 ... xm; for 1 <= m < n, C(n, m-1)
+    letter-free words have one variable filling the n-m+1 positions that the
+    m-1 others, one position each, leave."""
+    for size in range(4):
+        alphabet = Alphabet([str(j) for j in range(size)])
+        for n in range(1, 40):
+            for m in range(n + 1):
+                count = count_words(alphabet, n, m)
+                assert (size + m) ** (n - m) <= count, (size, n, m)
+                assert m < n or count == 1, (size, n)
+                if 1 <= m < n:
+                    assert math.comb(n, m - 1) <= count, (size, n, m)
 
 
 def test_count_words_closed_form_matches_the_recurrence():
