@@ -58,7 +58,9 @@ def witness_graph(
 def graph_on_subsets(n: int, subsets) -> LinOrderedGraph:
     """The graph on the given subsets of {1..n}: adjacency is nonempty
     intersection, vertex order is clex."""
-    return SE.on_subsets(LinOrderedGraph, n, subsets, GraphEncoding.related)
+    elems, rows = SE.on_subsets(n, subsets, GraphEncoding.related)
+    return LinOrderedGraph.build(elems, [(a, elems[q]) for r, a in enumerate(elems)
+                                         for q in range(r + 1, len(elems)) if rows[r] >> q & 1])
 
 
 def powerset_graph(n: int) -> LinOrderedGraph:

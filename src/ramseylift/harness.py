@@ -190,10 +190,16 @@ def random_superposet_embedding(rng: random.Random, poset: LinOrderedPoset) -> E
     extra = rng.randint(0, 2)
     if extra == 0:
         return identity_embedding(poset)
+    at = list(range(len(poset.universe)))  # at[r]: the padded rank of rank r
     elems = list(poset.universe)
     for i in range(extra):
-        elems.insert(rng.randint(0, len(elems)), ("pad", i))
-    padded = LinOrderedPoset.build(elems, poset.strict_pairs())
+        pos = rng.randint(0, len(elems))
+        elems.insert(pos, ("pad", i))
+        at = [a + (a >= pos) for a in at]
+    up = [1 << p for p in range(len(elems))]
+    for r, row in enumerate(poset.up):
+        up[at[r]] = sum(1 << at[q] for q in range(len(at)) if row >> q & 1)
+    padded = LinOrderedPoset.from_up_rows(elems, up)
     return Embedding(poset, padded, rng.choice(list(embedding_ranks(poset, padded))))
 
 

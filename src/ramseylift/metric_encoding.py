@@ -20,6 +20,7 @@ import itertools
 from fractions import Fraction
 
 from .errors import BudgetError, DomainError, SpectrumError, VerificationError
+from .orders import BaseOrder
 from .structures import (
     DEFAULT_MAX_POINTS,
     Embedding,
@@ -27,9 +28,10 @@ from .structures import (
     LinOrderedPoset,
     _check_tuple_images,
     _memo_recent,
-    check_embedding,
+    _rank_embedding,
+    _tuple_ranks,
     checked_spectrum,
-    _tuple_points,
+    validate_structure,
 )
 
 COMPLETION_STEP_CAP = 10**6
@@ -40,7 +42,7 @@ def is_tight(values) -> bool:
     return _is_tight(checked_spectrum(values))
 
 
-def _is_tight(vals: tuple[Fraction, ...]) -> bool:
+def _is_tight(vals: tuple) -> bool:
     """:func:`is_tight` on a spectrum :func:`checked_spectrum` already returned."""
     k = len(vals) - 1
     for i in range(1, k + 1):
@@ -101,27 +103,30 @@ def encode_metric(space: LinOrderedMetricSpace) -> LinOrderedPoset:
     k = len(space.spectrum) - 1
     dist, spect = space.scaled
     n = len(space.universe)
-    elems = [(x, i) for i in range(k + 1) for x in space.universe]
-    pairs = []
-    for p, a in enumerate(elems):  # in the order of permutations(elems, 2)
-        i, r = divmod(p, n)
-        for j in range(i, k + 1):
-            gap, level = spect[j] - spect[i], elems[j * n:(j + 1) * n]
-            pairs += [(a, b) for b, v in zip(level, dist[r]) if v <= gap and b is not a]
-    return LinOrderedPoset.build(elems, pairs)
+    gaps = {spect[j] - spect[i] for i in range(k + 1) for j in range(i, k + 1)}
+    within = [{g: sum(1 << z for z, v in enumerate(row) if v <= g) for g in gaps} for row in dist]
+    up = [1 << (i * n + r) | sum(within[r][spect[j] - spect[i]] << j * n for j in range(i, k + 1))
+          for i in range(k + 1) for r in range(n)]
+    return LinOrderedPoset.from_up_rows(
+        [(x, i) for i in range(k + 1) for x in space.universe], up)
+
+
+def _shift(up: tuple[int, ...], a: tuple, b: tuple) -> int:
+    """The least p such that the rank tuples dominate each other p steps
+    apart (a[i] <= b[i+p] and b[i] <= a[i+p] in the rows ``up``), else k."""
+    k = len(a)
+    for p in range(k):
+        if all(up[a[i]] >> b[i + p] & 1 and up[b[i]] >> a[i + p] & 1 for i in range(k - p)):
+            return p
+    return k
 
 
 def _dist_tuples_raw(poset: LinOrderedPoset, spect: tuple[Fraction, ...], a, b) -> Fraction:
     k = len(spect) - 1
     if len(a) != k or len(b) != k:
         raise DomainError(f"tuples must have length {k}")
-    for p in range(k):
-        if all(
-            poset.below(a[i], b[i + p]) and poset.below(b[i], a[i + p])
-            for i in range(k - p)
-        ):
-            return spect[p]
-    return spect[k]
+    rank = poset.order.rank
+    return spect[_shift(poset.up, tuple(map(rank, a)), tuple(map(rank, b)))]
 
 
 def dist_metric_tuples(poset: LinOrderedPoset, spectrum, a: tuple, b: tuple) -> Fraction:
@@ -147,12 +152,15 @@ def decode_poset_metric(
     spect = checked_spectrum(spectrum)
     if not _is_tight(spect):
         raise SpectrumError("tuple space requires a tight spectrum")
-    pts = _tuple_points(poset, len(spect) - 1, max_points, "lex")
-    dist = {
-        (s, t): _dist_tuples_raw(poset, spect, s, t)
-        for s, t in itertools.combinations(pts, 2)
-    }
-    return LinOrderedMetricSpace.build(pts, dist, spect)
+    pts = _tuple_ranks(poset, len(spect) - 1, max_points, "lex")
+    rows = [[spect[0]] * len(pts) for _ in pts]
+    for (r, s), (q, t) in itertools.combinations(enumerate(pts), 2):
+        rows[r][q] = rows[q][r] = spect[_shift(poset.up, s, t)]
+    elems = poset.universe
+    space = LinOrderedMetricSpace(BaseOrder([tuple(map(elems.__getitem__, t)) for t in pts]),
+                                  tuple(map(tuple, rows)), spect)
+    validate_structure(space)
+    return space
 
 
 def phi_metric(space: LinOrderedMetricSpace, poset: LinOrderedPoset, u: Embedding) -> dict:
@@ -164,14 +172,13 @@ def phi_metric(space: LinOrderedMetricSpace, poset: LinOrderedPoset, u: Embeddin
     level_poset = encode_metric(space)
     if u.source != level_poset or u.target != poset:
         raise DomainError("phi requires an embedding of the space's level poset into the target poset")
-    spect = space.spectrum
-    if not _is_tight(spect):
+    if not _is_tight(space.scaled[1]):
         raise SpectrumError("phi requires a tight spectrum")
-    k = len(spect) - 1
-    images = {x: tuple(u((x, i)) for i in range(k)) for x in space.universe}
-    _check_tuple_images(space, poset, images, "lex",
-                        lambda a, b: _dist_tuples_raw(poset, spect, a, b))
-    return images
+    k, n, to, up = len(space.spectrum) - 1, len(space.universe), u.ranks, poset.up
+    images = [tuple([to[i * n + r] for i in range(k)]) for r in range(n)]
+    _check_tuple_images(space, images, "lex", lambda a, b: _shift(up, a, b))
+    elems = poset.universe
+    return {x: tuple(map(elems.__getitem__, t)) for x, t in zip(space.universe, images)}
 
 
 def witness_metric(
@@ -185,5 +192,6 @@ def witness_metric(
         raise SpectrumError("witness requires both spaces to share one spectrum")
     src = encode_metric(subspace)
     tgt = encode_metric(space)
-    mapping = {(x, i): (f(x), i) for (x, i) in src.universe}
-    return check_embedding(mapping, src, tgt)
+    n = len(space.universe)
+    ranks = tuple([i * n + t for i in range(len(space.spectrum)) for t in f.ranks])
+    return _rank_embedding(src, tgt, ranks)

@@ -4,20 +4,29 @@ All four kinds carry an explicit linear order on their universe (a
 :class:`~ramseylift.orders.BaseOrder`).  Elements and exact rational
 distances appear where a structure is built, in JSON and text output and
 in error messages; no floating point is used anywhere.  Validation, balls,
-downsets and embeddings work on ranks: a relation as a tuple of rank
-bitmasks, one row per value and rank (``relation_rows``; a poset's are the
-up rows its validation found), distances as integers over their common
-denominator (``scaled``), balls as rank bitmasks (``ball_masks``), an
-embedding as the tuple of its target ranks.  Each structure derives these
-views once and caches them, and each encoder remembers its last four
-structures (:func:`_memo_recent`).  A :class:`Ball` is a named tuple
-``(points, radius_index)``.  Construction through the ``build``
-classmethods or :func:`from_json` validates every axiom; the raw dataclass
-constructors are unchecked so that tests can exercise the validators.
+downsets and embeddings work on ranks: a poset stores its order as up rows
+(``up[r]`` has bit s set when rank r is below-or-equal rank s), from which
+``leq``, ``below`` and ``strict_pairs`` are read; every relation is a tuple
+of rank bitmasks, one row per value and rank (``relation_rows``);
+distances are integers over their common denominator (``scaled``), balls
+rank bitmasks (``ball_masks``), an embedding the tuple of its target
+ranks.  Each structure derives these views once and caches them, and each
+encoder remembers its last four structures (:func:`_memo_recent`).  A
+:class:`Ball` is a named tuple ``(points, radius_index)``.
+
+Construction through the ``build`` classmethods, ``from_up_rows`` or
+:func:`from_json` validates every axiom; the raw dataclass constructors
+are unchecked so that tests can exercise the validators.  Validation walks
+ranks (and a graph's edges) in a fixed order, so the witness an error names
+does not depend on hashing.  On spaces of twelve points or more the
+(strong) triangle inequality is first checked on threshold masks, in
+O(N^2) mask operations per attained distance; the plain O(N^3) loop runs
+on smaller spaces and, to name the witness, when that check fails.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -27,7 +36,7 @@ from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import BudgetError, DomainError, EmbeddingError, SpectrumError, StructureError
 from .errors import VerificationError
-from .orders import BaseOrder, tuple_key
+from .orders import BaseOrder
 
 DEFAULT_MAX_POINTS = 343  # largest tuple space the decoders build by default (7^3 points)
 _MEMO_SIZE = 4  # structures each encoder remembers; a phi/witness chain touches two
@@ -134,7 +143,7 @@ class LinOrderedGraph:
 @dataclass(frozen=True)
 class LinOrderedPoset:
     order: BaseOrder
-    leq: frozenset[tuple]  # all pairs (a, b) with a below-or-equal b, reflexive pairs included
+    up: tuple[int, ...]  # bit s of up[r] is set when rank r is below-or-equal rank s
 
     kind = "poset"
     relation_values = (False, True)  # whether r <= s
@@ -142,9 +151,20 @@ class LinOrderedPoset:
     @classmethod
     def build(cls, vertices: Iterable, strict_pairs: Iterable[tuple]) -> "LinOrderedPoset":
         order = BaseOrder(vertices)
-        pairs = set((a, b) for a, b in strict_pairs)
-        pairs.update((v, v) for v in order.elements)
-        p = cls(order, frozenset(pairs))
+        rank, up = order.rank_map, [1 << r for r in range(len(order))]
+        for a, b in strict_pairs:
+            try:
+                up[rank[a]] |= 1 << rank[b]
+            except KeyError:
+                raise StructureError(
+                    f"relation pair ({a!r},{b!r}) uses undeclared elements") from None
+        return cls.from_up_rows(order.elements, up)
+
+    @classmethod
+    def from_up_rows(cls, vertices: Iterable, up: Iterable[int]) -> "LinOrderedPoset":
+        """The poset whose rank r lies below-or-equal rank s when bit s of
+        ``up[r]`` is set (reflexive bits included), validated."""
+        p = cls(BaseOrder(vertices), tuple(up))
         validate_structure(p)
         return p
 
@@ -152,18 +172,27 @@ class LinOrderedPoset:
     def universe(self) -> tuple:
         return self.order.elements
 
+    @property
+    def leq(self) -> frozenset[tuple]:
+        """All pairs (a, b) with a below-or-equal b, reflexive pairs included."""
+        elems = self.universe
+        return frozenset((elems[r], elems[s]) for r, row in enumerate(self.up) for s in _bits(row))
+
     def below(self, a, b) -> bool:
-        return (a, b) in self.leq
+        rank = self.order.rank_map
+        return a in rank and b in rank and bool(self.up[rank[a]] >> rank[b] & 1)
 
     def strict_pairs(self) -> list[tuple]:
-        return [(a, b) for (a, b) in self.leq if a != b]
+        """The pairs (a, b) with a strictly below b, in rank order."""
+        elems = self.universe
+        return [(elems[r], elems[s]) for r, row in enumerate(self.up) for s in _bits(row)
+                if s != r]
 
     @cached_property
     def relation_rows(self) -> tuple[int, ...]:
-        """See :func:`embedding_ranks`; rank s is related to r when r <= s.
-        Computing them validates the poset (see :func:`_validate_poset`)."""
-        up, full = _validate_poset(self), (1 << len(self.universe)) - 1
-        return tuple([full ^ row for row in up] + up)
+        """See :func:`embedding_ranks`; rank s is related to r when r <= s."""
+        full = (1 << len(self.up)) - 1
+        return tuple([full ^ row for row in self.up]) + self.up
 
 
 def _dist_matrix(order: BaseOrder, dist: Mapping) -> tuple[tuple[Fraction, ...], ...]:
@@ -211,8 +240,11 @@ class _Space:
 
     def attained(self) -> frozenset[Fraction]:
         """All distances attained, read off the diagonal (0 for a nonempty
-        space) and the upper triangle of the matrix."""
-        return frozenset(v for r, row in enumerate(self.dmatrix) for v in row[r:])
+        space) and the upper triangle of the matrix; told apart by their
+        scaled integers, so each ``Fraction`` is hashed once."""
+        by_int = {v: q for r, (ints, row) in enumerate(zip(self.scaled[0], self.dmatrix))
+                  for v, q in zip(ints[r:], row[r:])}
+        return frozenset(by_int.values())
 
     @cached_property
     def scaled(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
@@ -235,7 +267,15 @@ class _Space:
 
 
 def _members(elems: tuple, mask: int) -> frozenset:
-    return frozenset(x for r, x in enumerate(elems) if mask >> r & 1)
+    return frozenset([x for r, x in enumerate(elems) if mask >> r & 1])
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class ConvUltrametricSpace(_Space):
@@ -257,9 +297,33 @@ class LinOrderedMetricSpace(_Space):
 # validation
 
 
+def _triangles_hold(dist, strong: bool) -> bool:
+    """Whether no (strong) triangle inequality fails, on a matrix with a zero
+    diagonal; True is exact, False may also mean that the quick test does
+    not apply (a few points, or an asymmetric matrix).  For an ultrametric
+    each relation d <= t over the attained t must be an equivalence, so its
+    rows partition the ranks.  For a metric, whenever d(q, z) <= b the
+    distance d(r, z) must be at most d(r, q) + b: z must be in the row of r
+    at the largest attained value not above that sum."""
+    n = len(dist)
+    if n < 12 or dist != tuple(zip(*dist)):
+        return False  # the plain loop is as quick on a few points
+    values = sorted({v for row in dist for v in row})
+    rows = [[sum(1 << z for z, v in enumerate(row) if v <= t) for row in dist] for t in values]
+    if strong:
+        return all(sum(row.bit_count() for row in set(level)) == n for level in rows)
+    reach = {a: [bisect.bisect_right(values, a + b) - 1 for b in values] for a in values}
+    for r, row in enumerate(dist):
+        for q, a in enumerate(row):
+            for level, t in zip(rows, reach[a]):
+                if level[q] & ~rows[t][r]:
+                    return False
+    return True
+
+
 def _validate_metric_axioms(space, strong: bool) -> None:
     pts = space.universe
-    dist, _ = space.scaled
+    dist, spect = space.scaled
     for r, x in enumerate(pts):
         if dist[r][r] != 0:
             raise StructureError(f"d({x!r},{x!r}) must be 0")
@@ -267,11 +331,12 @@ def _validate_metric_axioms(space, strong: bool) -> None:
         if dist[r][q] <= 0:
             raise StructureError(f"d({x!r},{y!r}) must be positive for distinct points")
     what = "strong triangle inequality" if strong else "triangle inequality"
-    for r, q, z in itertools.permutations(range(len(pts)), 3):
-        a, b, c = dist[r][q], dist[q][z], dist[r][z]
-        if (c > a and c > b) if strong else c > a + b:
-            raise StructureError(f"{what} fails on ({pts[r]!r},{pts[q]!r},{pts[z]!r})")
-    if not space.attained() <= set(space.spectrum):
+    if not _triangles_hold(dist, strong):
+        for r, q, z in itertools.permutations(range(len(pts)), 3):
+            a, b, c = dist[r][q], dist[q][z], dist[r][z]
+            if (c > a and c > b) if strong else c > a + b:
+                raise StructureError(f"{what} fails on ({pts[r]!r},{pts[q]!r},{pts[z]!r})")
+    if not {v for r, row in enumerate(dist) for v in row[r:]} <= set(spect):
         extra = sorted(space.attained() - set(space.spectrum))
         raise StructureError(
             f"attained distances {[format_rational(v) for v in extra]} missing from spectrum"
@@ -289,60 +354,65 @@ def _validate_convexity(space: ConvUltrametricSpace) -> None:
                 )
 
 
-def _ranked_pairs(p: LinOrderedPoset) -> list[tuple[int, int]]:
-    """The relation as pairs of ranks, in the iteration order of ``leq``."""
-    rank = p.order.rank_map
-    try:
-        return [(rank[a], rank[b]) for a, b in p.leq]
-    except KeyError:
-        a, b = next((a, b) for a, b in p.leq if a not in rank or b not in rank)
-        raise StructureError(f"relation pair ({a!r},{b!r}) uses undeclared elements") from None
+def _validate_up_rows(p: LinOrderedPoset) -> None:
+    """Check the axioms on the up rows, clause by clause, each in rank order."""
+    elems, up = p.universe, p.up
+    for r, row in enumerate(up):
+        if not row >> r & 1:
+            raise StructureError(f"relation not reflexive at {elems[r]!r}")
+    extends = not any(row & ((1 << r) - 1) for r, row in enumerate(up))
+    for r, row in enumerate(() if extends else up):  # a linear extension is antisymmetric
+        for s in _bits(row & ~(1 << r)):
+            if up[s] >> r & 1:
+                raise StructureError(f"relation not antisymmetric on ({elems[r]!r},{elems[s]!r})")
+    for r, row in enumerate(up):
+        for s in _bits(row):
+            missing = up[s] & ~row
+            if missing:
+                c = elems[(missing & -missing).bit_length() - 1]
+                raise StructureError(
+                    f"relation not transitive via ({elems[r]!r},{elems[s]!r},{c!r})")
+    for r, row in enumerate(() if extends else up):
+        earlier = row & ((1 << r) - 1)
+        if earlier:
+            b = elems[(earlier & -earlier).bit_length() - 1]
+            raise StructureError(
+                f"linear order does not extend the partial order on ({elems[r]!r},{b!r})")
 
 
-def _validate_poset(s: LinOrderedPoset) -> list[int]:
-    """The up rows ``up[r]``, the ranks above rank r, once every axiom holds."""
-    elems = s.universe
-    pairs = _ranked_pairs(s)
-    up = [0] * len(elems)  # up[r]: the ranks above rank r
-    for ra, rb in pairs:
-        up[ra] |= 1 << rb
-    for r, a in enumerate(elems):
-        if not up[r] >> r & 1:
-            raise StructureError(f"relation not reflexive at {a!r}")
-    for ra, rb in pairs:
-        if ra != rb and up[rb] >> ra & 1:
-            raise StructureError(f"relation not antisymmetric on ({elems[ra]!r},{elems[rb]!r})")
-    for ra, rb in pairs:
-        missing = up[rb] & ~up[ra]
-        if missing:
-            a, b, c = elems[ra], elems[rb], elems[(missing & -missing).bit_length() - 1]
-            raise StructureError(f"relation not transitive via ({a!r},{b!r},{c!r})")
-    for ra, rb in pairs:
-        if ra > rb:
-            a, b = elems[ra], elems[rb]
-            raise StructureError(f"linear order does not extend the partial order on ({a!r},{b!r})")
-    return up
+def _sorted_edges(rank: dict, edges) -> list[list]:
+    """The edges as vertex lists, in rank order; undeclared vertices come
+    after the declared ones, by their text."""
+    def key(v):
+        return rank.get(v, len(rank)), repr(v)
+
+    return sorted((sorted(e, key=key) for e in edges), key=lambda e: list(map(key, e)))
 
 
 def validate_structure(s) -> dict:
     """Check every axiom of the structure's kind.
 
-    Raises :class:`StructureError` naming the violated axiom and a witness.
+    Raises :class:`StructureError` naming the violated axiom and a witness;
+    the clauses run in rank order, so the witness does not depend on hashing.
     Returns a small report; for the metric kinds it includes the attained
     spectrum.
     """
     kind = getattr(s, "kind", None)
     if kind == "graph":
-        for e in s.edges:
+        rank = s.order.rank_map
+        bad = [e for e in s.edges if len(e) != 2 or not rank.keys() >= e]
+        for e in _sorted_edges(rank, bad):
             if len(e) != 2:
-                raise StructureError(f"edge {set(e)!r} must have exactly 2 vertices")
+                text = "{" + ", ".join(map(repr, e)) + "}" if e else "set()"
+                raise StructureError(f"edge {text} must have exactly 2 vertices")
             for v in e:
-                if v not in s.order:
+                if v not in rank:
                     raise StructureError(f"edge vertex {v!r} not declared")
         return {"kind": kind, "size": len(s.order), "edges": len(s.edges)}
     if kind == "poset":
-        s.relation_rows  # computing the rows validates the poset
-        return {"kind": kind, "size": len(s.order), "relation_pairs": len(s.leq)}
+        _validate_up_rows(s)
+        return {"kind": kind, "size": len(s.order),
+                "relation_pairs": sum(row.bit_count() for row in s.up)}
     if kind in ("ultrametric", "metric"):
         try:
             checked_spectrum(s.spectrum)
@@ -431,14 +501,20 @@ def check_embedding(f, source, target) -> Embedding:
             raise EmbeddingError(f"map defined on non-element {v!r}")
         if m[v] not in target.order:
             raise EmbeddingError(f"image {m[v]!r} of {v!r} not in target")
-    images = [m[v] for v in source.universe]
-    if len(set(images)) != len(images):
+    ranks = tuple([target.order.rank(m[v]) for v in source.universe])
+    return _rank_embedding(source, target, ranks)
+
+
+def _rank_embedding(source, target, ranks: tuple[int, ...]) -> Embedding:
+    """The clauses of :func:`check_embedding` that follow from the target
+    ranks of the source elements: injectivity, order and relations."""
+    if len(set(ranks)) != len(ranks):
         raise EmbeddingError("map is not injective")
     uni = source.universe
-    ranks = tuple([target.order.rank(y) for y in images])
-    for (i, a), (j, b) in itertools.combinations(enumerate(uni), 2):  # a < b in source order
-        if not ranks[i] < ranks[j]:
-            raise EmbeddingError(f"linear order not preserved on ({a!r},{b!r})")
+    if any(not a < b for a, b in zip(ranks, ranks[1:])):
+        p, i = next((p, i) for p, i in itertools.combinations(range(len(uni)), 2)
+                    if not ranks[p] < ranks[i])
+        raise EmbeddingError(f"linear order not preserved on ({uni[p]!r},{uni[i]!r})")
     offsets, target_rows = _pair_offsets(source, target), target.relation_rows
     for p, i in itertools.combinations(range(len(uni)), 2):
         offset = offsets[i][p]
@@ -510,14 +586,14 @@ def induced_substructure(s, subset: Iterable):
     vertices = [v for v in s.universe if v in keep]
     if s.kind == "graph":
         return LinOrderedGraph.build(vertices, [e for e in s.edges if e <= keep])
+    kept = [r for r, v in enumerate(s.universe) if v in keep]
     if s.kind == "poset":
-        return LinOrderedPoset.build(
-            vertices, [(a, b) for (a, b) in s.strict_pairs() if a in keep and b in keep]
-        )
-    dist = {
-        (a, b): s.d(a, b) for a, b in itertools.combinations(vertices, 2)
-    }
-    return type(s).build(vertices, dist, s.spectrum)
+        return LinOrderedPoset.from_up_rows(vertices, [
+            sum(1 << j for j, q in enumerate(kept) if s.up[r] >> q & 1) for r in kept])
+    sub = type(s)(BaseOrder(vertices),
+                  tuple(tuple([s.dmatrix[r][q] for q in kept]) for r in kept), s.spectrum)
+    validate_structure(sub)
+    return sub
 
 
 # ---------------------------------------------------------------------------
@@ -532,8 +608,9 @@ def downsets(p: LinOrderedPoset) -> tuple[frozenset, ...]:
     minus its top element is again a downset, since the linear order extends
     the relation, so the downsets grow one rank at a time."""
     down = [0] * len(p.universe)  # down[r]: the ranks below rank r
-    for ra, rb in _ranked_pairs(p):
-        down[rb] |= 1 << ra
+    for r, row in enumerate(p.up):
+        for q in _bits(row):
+            down[q] |= 1 << r
     found = [0]
     for r, below in enumerate(down):
         bit = 1 << r
@@ -580,27 +657,28 @@ def check_tuple_space(poset: LinOrderedPoset, k: int, max_points: int) -> None:
                           f"above the bound {max_points}")
 
 
-def _tuple_points(poset: LinOrderedPoset, k: int, max_points: int, kind: str) -> list:
-    """All |A|^k k-tuples over the poset, sorted under the tuple order
-    ``kind``.  Refuses more than ``max_points`` points."""
+def _tuple_ranks(poset: LinOrderedPoset, k: int, max_points: int, kind: str) -> list:
+    """All |A|^k k-tuples of ranks of the poset, increasing under the tuple
+    order ``kind``.  Refuses more than ``max_points`` tuples."""
     check_tuple_space(poset, k, max_points)
-    return sorted(itertools.product(poset.universe, repeat=k),
-                  key=lambda t: tuple_key(poset.order, kind, t))
+    ranks = itertools.product(range(len(poset.universe)), repeat=k)
+    return list(ranks) if kind == "lex" else [t[::-1] for t in ranks]
 
 
-def _check_tuple_images(space, poset: LinOrderedPoset, images: dict, kind: str, dist) -> None:
-    """Raise unless the tuple images keep every distance, measured by
-    ``dist`` on two images, and strictly increase under the tuple order ``kind``."""
-    key = {x: tuple_key(poset.order, kind, t) for x, t in images.items()}
-    for x, y in itertools.combinations(space.universe, 2):
-        expected = space.d(x, y)
-        got = dist(images[x], images[y])
-        if got != expected:
-            raise VerificationError(
-                f"distance of images of {x!r},{y!r} is {got}, expected {expected}"
-            )
-        if not key[x] < key[y]:
-            raise VerificationError(f"images of {x!r},{y!r} are not {kind}-increasing")
+def _check_tuple_images(space, images: list, kind: str, level) -> None:
+    """Raise unless the images, tuples of target ranks in the space's rank
+    order, keep every distance and strictly increase under the tuple order
+    ``kind``; ``level(a, b)`` is the spectrum index of the distance of two
+    images."""
+    uni, (dist, spect) = space.universe, space.scaled
+    keys = images if kind == "lex" else [t[::-1] for t in images]
+    for r, q in itertools.combinations(range(len(uni)), 2):
+        j = level(images[r], images[q])
+        if spect[j] != dist[r][q]:
+            raise VerificationError(f"distance of images of {uni[r]!r},{uni[q]!r} is "
+                                    f"{space.spectrum[j]}, expected {space.dmatrix[r][q]}")
+        if not keys[r] < keys[q]:
+            raise VerificationError(f"images of {uni[r]!r},{uni[q]!r} are not {kind}-increasing")
 
 
 # ---------------------------------------------------------------------------
@@ -616,9 +694,7 @@ def to_json(s) -> dict:
             (sorted(e, key=rank) for e in s.edges), key=lambda e: (rank(e[0]), rank(e[1]))
         )
     elif s.kind == "poset":
-        out["leq"] = sorted(
-            ([a, b] for (a, b) in s.strict_pairs()), key=lambda p: (rank(p[0]), rank(p[1]))
-        )
+        out["leq"] = [[a, b] for a, b in s.strict_pairs()]
     else:
         out["dist"] = [
             [a, b, format_rational(s.d(a, b))]

@@ -123,11 +123,12 @@ def witness(enc: SubsetEncoding, enc2: SubsetEncoding, f, u: ParameterWord) -> P
     return h
 
 
-def on_subsets(cls, n: int, subsets, related):
-    """The structure ``cls`` on the given subsets of {1..n}, linearly
-    ordered by clex, with a related to b when ``related(a, b)``."""
+def on_subsets(n: int, subsets, related) -> tuple[list[frozenset], list[int]]:
+    """The given subsets of {1..n}, linearly ordered by clex, each with its
+    row: bit q is set when ``related`` holds from it to the q-th subset."""
     elems = sort_subsets(BaseOrder(range(1, n + 1)), "clex", subsets)
-    return cls.build(elems, [(a, b) for a, b in itertools.permutations(elems, 2) if related(a, b)])
+    masks = [sum(1 << x for x in e) for e in elems]
+    return elems, [sum(1 << q for q, b in enumerate(masks) if related(a, b)) for a in masks]
 
 
 def powerset(n: int) -> list[frozenset]:

@@ -17,19 +17,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, SpectrumError, VerificationError
+from .orders import BaseOrder
 from .structures import (
     DEFAULT_MAX_POINTS,
     Ball,
     ConvUltrametricSpace,
     Embedding,
     LinOrderedPoset,
+    _bits,
     _check_tuple_images,
     _distinct_balls,
     _members,
     _memo_recent,
-    check_embedding,
+    _rank_embedding,
+    _tuple_ranks,
     checked_spectrum,
-    _tuple_points,
     validate_structure,
 )
 
@@ -42,21 +44,21 @@ class BallPoset:
 
 @_memo_recent
 def _encode(space: ConvUltrametricSpace):
-    """The ball poset, the balls keyed by (radius index, rank mask), and the
-    ball masks of every point (``masks[i][r]``); remembered for the last few
-    spaces, so callers share the dict and must not change it."""
+    """The ball poset, the rank of each ball keyed by (radius index, rank
+    mask), and the ball masks of every point (``masks[i][r]``); remembered
+    for the last few spaces, so callers share the dict and must not change it."""
     masks = space.ball_masks
     keys = _distinct_balls(masks)
     elems = [Ball(_members(space.universe, m), i) for i, m in keys]
     for (i, m), b in zip(keys, elems):
-        if any(masks[i][r] != m for r in range(len(masks[i])) if m >> r & 1):
+        if any(masks[i][r] != m for r in _bits(m)):
             raise VerificationError(
                 f"ball {sorted(b.points)!r} at radius index {i} depends on the choice of center"
             )
-    pairs = [(elems[p], elems[q]) for p, (i, m) in enumerate(keys)
-             for q, (j, m2) in enumerate(keys) if p != q and i <= j and not m & ~m2]
-    poset = LinOrderedPoset.build(elems, pairs)
-    return BallPoset(space, poset), dict(zip(keys, elems)), masks
+    up = [sum(1 << q for q, (j, m2) in enumerate(keys) if i <= j and not m & ~m2)
+          for i, m in keys]
+    poset = LinOrderedPoset.from_up_rows(elems, up)
+    return BallPoset(space, poset), {key: p for p, key in enumerate(keys)}, masks
 
 
 def encode_ultrametric(space: ConvUltrametricSpace) -> BallPoset:
@@ -68,11 +70,12 @@ def encode_ultrametric(space: ConvUltrametricSpace) -> BallPoset:
     return _encode(space)[0]
 
 
-def _dist_raw(spect: tuple[Fraction, ...], a: tuple, b: tuple) -> Fraction:
+def _level(a: tuple, b: tuple) -> int:
+    """The least j with the tuples equal from index j on."""
     j = len(a)
     while j and a[j - 1] == b[j - 1]:
         j -= 1
-    return spect[j]
+    return j
 
 
 def dist_ultra_tuples(poset: LinOrderedPoset, spectrum, a: tuple, b: tuple) -> Fraction:
@@ -85,7 +88,7 @@ def dist_ultra_tuples(poset: LinOrderedPoset, spectrum, a: tuple, b: tuple) -> F
     for entry in itertools.chain(a, b):
         if entry not in poset.order:
             raise DomainError(f"tuple entry {entry!r} is not a poset element")
-    return _dist_raw(spect, tuple(a), tuple(b))
+    return spect[_level(tuple(a), tuple(b))]
 
 
 def decode_poset_ultra(
@@ -99,9 +102,13 @@ def decode_poset_ultra(
     Refuses to build more than ``max_points`` points.
     """
     spect = checked_spectrum(spectrum)
-    pts = _tuple_points(poset, len(spect) - 1, max_points, "alex")
-    dist = {(s, t): _dist_raw(spect, s, t) for s, t in itertools.combinations(pts, 2)}
-    return ConvUltrametricSpace.build(pts, dist, spect)
+    pts = _tuple_ranks(poset, len(spect) - 1, max_points, "alex")
+    elems = poset.universe
+    space = ConvUltrametricSpace(
+        BaseOrder([tuple(map(elems.__getitem__, t)) for t in pts]),
+        tuple(tuple([spect[_level(s, t)] for t in pts]) for s in pts), spect)
+    validate_structure(space)
+    return space
 
 
 def phi_ultra(space: ConvUltrametricSpace, poset: LinOrderedPoset, u: Embedding) -> dict:
@@ -111,19 +118,17 @@ def phi_ultra(space: ConvUltrametricSpace, poset: LinOrderedPoset, u: Embedding)
     injectivity, exact distance preservation, and strict anti-lexicographic
     order preservation of the images.
     """
-    ball_poset, ball_of, masks = _encode(space)
+    ball_poset, rank_of, masks = _encode(space)
     if u.source != ball_poset.poset or u.target != poset:
         raise DomainError("phi requires an embedding of the space's ball poset into the target poset")
-    spect = space.spectrum
-    k = len(spect) - 1
-    images = {
-        x: tuple(u(ball_of[i, masks[i][r]]) for i in range(k))
-        for r, x in enumerate(space.universe)
-    }
-    if len(set(images.values())) != len(images):
+    k, to = len(space.spectrum) - 1, u.ranks
+    images = [tuple([to[rank_of[i, masks[i][r]]] for i in range(k)])
+              for r in range(len(space.universe))]
+    if len(set(images)) != len(images):
         raise VerificationError("tuple images are not pairwise distinct")
-    _check_tuple_images(space, poset, images, "alex", lambda a, b: _dist_raw(spect, a, b))
-    return images
+    _check_tuple_images(space, images, "alex", _level)
+    elems = poset.universe
+    return {x: tuple(map(elems.__getitem__, t)) for x, t in zip(space.universe, images)}
 
 
 def witness_ultra(
@@ -139,18 +144,17 @@ def witness_ultra(
         raise DomainError("witness requires an embedding of the second space into the first")
     if space.spectrum != subspace.spectrum:
         raise SpectrumError("witness requires both spaces to share one spectrum")
-    bp1, ball_of, masks = _encode(space)
-    bp2 = encode_ultrametric(subspace)
-    mapping = {}
-    for b in bp2.poset.universe:
-        i = b.radius_index
-        images = {masks[i][space.order.rank(f(y))] for y in b.points}
+    bp1, rank_of, masks = _encode(space)
+    bp2, sub_rank_of, _ = _encode(subspace)
+    ranks = []
+    for (i, m), b in zip(sub_rank_of, bp2.poset.universe):
+        images = {masks[i][f.ranks[y]] for y in _bits(m)}
         if len(images) != 1:
             raise VerificationError(
                 f"image ball of {sorted(b.points)!r} depends on the choice of center"
             )
-        mapping[b] = ball_of[i, images.pop()]
-    return check_embedding(mapping, bp2.poset, bp1.poset)
+        ranks.append(rank_of[i, images.pop()])
+    return _rank_embedding(bp2.poset, bp1.poset, tuple(ranks))
 
 
 def reduce_spectrum(space: ConvUltrametricSpace) -> ConvUltrametricSpace:

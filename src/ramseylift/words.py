@@ -170,13 +170,27 @@ def identity(alphabet: Alphabet, n: int) -> ParameterWord:
 
 
 def count_words(alphabet: Alphabet, n: int, m: int) -> int:
-    """The number of m-parameter words of length n over the alphabet,
-    sum over j of (-1)^(m-j) C(m, j) (|A| + j)^n / m! by Stirling inversion:
-    the variable positions form a partition into m blocks, ordered by first
-    occurrence, and the other positions carry letters."""
+    """The number of m-parameter words of length n over the alphabet.
+
+    A word introduces x1, ..., xm in order at m of its positions; each of
+    the other n - m positions, after j variables are introduced, carries
+    one of |A| + j symbols.  When n - m is at most m/4 the count is that
+    sum over the positions, the complete homogeneous polynomial of degree
+    n - m in |A|, ..., |A| + m, built one variable at a time.  Otherwise it
+    is sum over j of (-1)^(m-j) C(m, j) (|A| + j)^n / m! by Stirling
+    inversion, m + 1 powers, which is quicker there.
+    """
     if n < 0 or m < 0:
         raise DomainError("n and m must be nonnegative")
-    a = len(alphabet)
+    a, free = len(alphabet), n - m
+    if free < 0:
+        return 0
+    if 4 * free <= m:
+        h = [1] + [0] * free  # h[d]: degree-d sum over the symbol counts so far
+        for x in range(a, a + m + 1):
+            for d in range(1, free + 1):
+                h[d] += x * h[d - 1]
+        return h[free]
     return sum((-1) ** (m - j) * math.comb(m, j) * (a + j) ** n
                for j in range(m + 1)) // math.factorial(m)
 

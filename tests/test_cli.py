@@ -227,6 +227,21 @@ def test_byte_identical_output_across_processes(files, tmp_path):
         assert first.stdout == second.stdout
 
 
+def test_validation_errors_do_not_depend_on_the_hash_seed(files):
+    """The witness a validation error names is found in rank order (posets)
+    or in a fixed order of edges (graphs), never in hash order."""
+    chain = list("abcdef")
+    poset = files("poset.json", {"kind": "poset", "universe": chain,
+                                 "leq": [[a, b] for a, b in zip(chain, chain[1:])]})
+    graph = files("graph.json", {"kind": "graph", "universe": ["a", "b"],
+                                 "edges": [["a", "x"], ["b", "y"], ["a", "z"]]})
+    for path, message in ((poset, "error: relation not transitive via ('a','b','c')\n"),
+                          (graph, "error: edge vertex 'x' not declared\n")):
+        for seed in "123456":
+            run = _run_subprocess(["structure", "validate", "--file", path], seed)
+            assert (run.returncode, run.stderr) == (1, message)
+
+
 MALFORMED_STRUCTURES = {
     "leq-entry-not-a-pair": ({"kind": "poset", "universe": [1, 2], "leq": [[1]]}, "'leq'"),
     "unhashable-vertex": ({"kind": "graph", "universe": [1, [2]], "edges": []}, "'universe'"),
@@ -548,6 +563,18 @@ def test_word_enumerate_refusal_is_prompt_when_m_is_close_to_n(capsys):
     assert code == 2
     assert error == {"type": "BudgetError", "message": "enumeration of W^10000_9999 exceeded "
                      "limit 1000000: at least 1000001 words exist"}
+
+
+def test_arrow_gr_refusal_is_prompt_when_ell_is_close_to_n(capsys):
+    """With n - ell = 1 the exact |W^n_ell| that the refusal prints is a sum
+    over one letter-or-repeat position, not ell+1 big powers."""
+    start = time.perf_counter()
+    code, error = _error(capsys, "arrow", "gr", "--alphabet", "0", "-n", "5000", "-m", "4999",
+                         "--ell", "4999", "-k", "2")
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert error == {"type": "BudgetError",
+                     "message": "|W^5000_4999| = 12502500 exceeds the hom budget 10000"}
 
 
 def test_negative_coloring_budget_is_a_domain_error(capsys):

@@ -14,7 +14,7 @@ from ramseylift.orders import (
     subset_key,
     tuple_key,
 )
-from ramseylift.structures import LinOrderedPoset, _tuple_points
+from ramseylift.structures import LinOrderedPoset, _tuple_ranks
 
 L4 = BaseOrder(range(1, 5))
 L16 = BaseOrder(range(1, 17))
@@ -225,4 +225,5 @@ def test_tuple_keys_match_cmp_to_key_sort(kind):
     random.Random(f"orders:{kind}").shuffle(tuples)
     expected = sorted(tuples, key=functools.cmp_to_key(
         lambda a, b: _index_walk_compare(order, kind, a, b)))
-    assert _tuple_points(poset, 3, 27, kind) == expected
+    points = [tuple(map(order.elements.__getitem__, t)) for t in _tuple_ranks(poset, 3, 27, kind)]
+    assert points == expected

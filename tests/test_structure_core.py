@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from ramseylift.errors import RamseyLiftError, StructureError, VerificationError
 from ramseylift.harness import random_metric, random_poset, random_ultrametric
-from ramseylift.metric_encoding import encode_metric
+from ramseylift.metric_encoding import decode_poset_metric, encode_metric
 from ramseylift.orders import BaseOrder, sort_subsets
 from ramseylift.structures import (
     Ball,
@@ -28,7 +28,7 @@ from ramseylift.structures import (
     format_rational,
     validate_structure,
 )
-from ramseylift.ultrametric_encoding import encode_ultrametric
+from ramseylift.ultrametric_encoding import decode_poset_ultra, encode_ultrametric
 
 # ---------------------------------------------------------------------------
 # references
@@ -37,22 +37,20 @@ from ramseylift.ultrametric_encoding import encode_ultrametric
 def ref_validate(s) -> dict:
     kind = s.kind
     if kind == "poset":
-        elems = s.universe
-        for a, b in s.leq:
-            if a not in s.order or b not in s.order:
-                raise StructureError(f"relation pair ({a!r},{b!r}) uses undeclared elements")
+        elems, rank = s.universe, s.order.rank
+        pairs = sorted(s.leq, key=lambda pair: (rank(pair[0]), rank(pair[1])))  # rank order
         for a in elems:
             if not s.below(a, a):
                 raise StructureError(f"relation not reflexive at {a!r}")
-        for a, b in s.leq:
+        for a, b in pairs:
             if a != b and s.below(b, a):
                 raise StructureError(f"relation not antisymmetric on ({a!r},{b!r})")
-        for a, b in s.leq:
+        for a, b in pairs:
             for c in elems:
                 if s.below(b, c) and not s.below(a, c):
                     raise StructureError(f"relation not transitive via ({a!r},{b!r},{c!r})")
-        for a, b in s.leq:
-            if a != b and not s.order.rank(a) < s.order.rank(b):
+        for a, b in pairs:
+            if a != b and not rank(a) < rank(b):
                 raise StructureError(
                     f"linear order does not extend the partial order on ({a!r},{b!r})"
                 )
@@ -168,31 +166,46 @@ def outcome(fn, *args):
 
 
 def raw_poset(elems, pairs) -> LinOrderedPoset:
-    return LinOrderedPoset(BaseOrder(elems), frozenset(pairs))
+    """A poset built without validation from declared element pairs."""
+    rank = {x: r for r, x in enumerate(elems)}
+    up = [0] * len(elems)
+    for a, b in pairs:
+        up[rank[a]] |= 1 << rank[b]
+    return LinOrderedPoset(BaseOrder(elems), tuple(up))
+
+
+def ref_build(elems, pairs) -> LinOrderedPoset:
+    """``LinOrderedPoset.build``: the first pair, in the given order, with an
+    undeclared element is refused; the reflexive pairs are added."""
+    for a, b in pairs:
+        if a not in elems or b not in elems:
+            raise StructureError(f"relation pair ({a!r},{b!r}) uses undeclared elements")
+    p = raw_poset(elems, {*pairs, *((a, a) for a in elems)})
+    ref_validate(p)
+    return p
 
 
 def corrupted_posets(rng):
-    """A valid poset and one corruption of each kind that applies to it."""
+    """A valid poset and one corruption of each kind that applies to it, as
+    (label, elements, pairs); an undeclared element can only reach ``build``."""
     p = random_poset(rng, 6)
     elems = list(p.universe)
     leq = set(p.leq)
-    yield "valid", p
+    yield "valid", elems, leq
     a = rng.choice(elems)
-    yield "non-reflexive", raw_poset(elems, leq - {(a, a)})
+    yield "non-reflexive", elems, leq - {(a, a)}
     strict = [pair for pair in leq if pair[0] != pair[1]]
     chains = [(x, y) for (x, y) in strict for (u, v) in strict if y == u and (x, v) in leq]
     if chains:
         x, y = rng.choice(chains)
         z = rng.choice([v for (u, v) in strict if u == y])
-        yield "non-transitive", raw_poset(elems, leq - {(x, z)})
+        yield "non-transitive", elems, leq - {(x, z)}
     if len(elems) > 1:
         x, y = sorted(rng.sample(elems, 2))
-        yield "order-violating", raw_poset(elems, leq | {(y, x)})
-        yield "shuffled order", raw_poset(rng.sample(elems, len(elems)), leq)
-    yield "undeclared", raw_poset(elems, leq | {(a, "ghost")})
-    yield "random relation", raw_poset(
-        elems, {(x, y) for x in elems for y in elems if rng.random() < 0.4}
-    )
+        yield "order-violating", elems, leq | {(y, x)}
+        yield "shuffled order", rng.sample(elems, len(elems)), leq
+    yield "undeclared", elems, strict + [(a, "ghost")]
+    yield "random relation", elems, {(x, y) for x in elems for y in elems if rng.random() < 0.4}
 
 
 def raw_space(cls, points, dist, spectrum):
@@ -251,7 +264,14 @@ def _respects_order(p) -> bool:
 # comparisons
 
 
-def check_poset(p):
+def check_poset(elems, pairs):
+    """The raw poset on declared pairs validates like the reference, and
+    ``build`` on the pairs in a fixed order behaves like its reference."""
+    pairs = sorted(pairs, key=repr)
+    assert outcome(LinOrderedPoset.build, elems, pairs) == outcome(ref_build, elems, pairs)
+    if any(a not in elems or b not in elems for a, b in pairs):
+        return
+    p = raw_poset(elems, pairs)
     assert outcome(validate_structure, p) == outcome(ref_validate, p)
     if _respects_order(p):
         assert downsets(p) == ref_downsets(p)
@@ -278,9 +298,12 @@ def test_posets_match_reference():
     rng = random.Random("core:posets")
     seen = set()
     for _ in range(300):
-        for label, p in corrupted_posets(rng):
-            check_poset(p)
-            seen.add((label, type(outcome(validate_structure, p))))
+        for label, elems, pairs in corrupted_posets(rng):
+            check_poset(elems, pairs)
+            if label == "undeclared":
+                seen.add((label, type(outcome(LinOrderedPoset.build, elems, pairs))))
+            else:
+                seen.add((label, type(outcome(validate_structure, raw_poset(elems, pairs)))))
     # every corruption was rejected at least once, and valid posets passed
     assert ("valid", dict) in seen
     for label in ("non-reflexive", "non-transitive", "order-violating", "undeclared"):
@@ -302,6 +325,37 @@ def test_spaces_match_reference():
         assert any(m.startswith(word) for m in messages), word
 
 
+def test_spaces_past_the_threshold_check_match_reference():
+    """Decoded tuple spaces of 16 points, where the triangle checks run on
+    threshold masks first, and corruptions of them: one distance changed
+    on both sides of the diagonal or on one side only."""
+    rng = random.Random("core:large-spaces")
+    messages = set()
+    for _ in range(20):
+        p = random_poset(rng, 4)
+        while len(p.universe) < 4:
+            p = random_poset(rng, 4)
+        for decode in (decode_poset_ultra, decode_poset_metric):
+            space = decode(p, [0, 1, 2])
+            pts, spect = list(space.universe), space.spectrum
+            n = len(pts)
+            dist = {(r, q): space.dmatrix[r][q] for r, q in itertools.combinations(range(n), 2)}
+            cls = type(space)
+            variants = [space]
+            for value in (spect[1], spect[2], spect[2] * 3):
+                pair = rng.choice(list(dist))
+                variants.append(raw_space(cls, pts, {**dist, pair: value}, (*spect, spect[2] * 3)))
+            rows = [list(row) for row in space.dmatrix]
+            r, q = rng.sample(range(n), 2)
+            rows[r][q] = spect[1] if rows[r][q] != spect[1] else spect[2]
+            variants.append(cls(space.order, tuple(map(tuple, rows)), spect))
+            for s in variants:
+                result = outcome(validate_structure, s)
+                assert result == outcome(ref_validate, s)
+                messages.add(result[1].split(" fails")[0] if isinstance(result, tuple) else "valid")
+    assert {"valid", "triangle inequality", "strong triangle inequality"} <= messages
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_random_raw_posets_match_reference(data):
@@ -309,7 +363,7 @@ def test_random_raw_posets_match_reference(data):
     elems = data.draw(st.permutations(range(n)))
     pairs = data.draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
     reflexive = data.draw(st.booleans())
-    check_poset(raw_poset(elems, pairs | ({(a, a) for a in elems} if reflexive else set())))
+    check_poset(elems, pairs | ({(a, a) for a in elems} if reflexive else set()))
 
 
 @settings(max_examples=150, deadline=None)
