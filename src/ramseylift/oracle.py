@@ -1,13 +1,20 @@
-"""Exhaustive verification of the arrow relation C -> (B)^A_k.
+"""Exact verification of the arrow relation C -> (B)^A_k.
 
 The relation holds when every k-coloring of hom(A, C) admits a morphism
 w in hom(B, C) whose composites with hom(A, B) all receive one color.
-The oracle examines all k^|hom(A,C)| colorings in reflected k-ary Gray
-order, block by block: the colorings of one block share their high digits
-and are decided together, one bit each in a 4,096-bit Python int, by
-clearing the bits under which some candidate is monochromatic.  The
-verdict is deterministic; when the relation fails the returned bad
-coloring is the first one in Gray order and is re-checkable.
+When the relation fails, the returned bad coloring is the first one in
+reflected k-ary Gray order, and it is re-checkable.  The oracle finds it
+on one of two paths:
+
+* k = 2, every candidate with at most two composites: a bad coloring is a
+  proper 2-coloring of the graph with an edge per candidate, so the
+  relation holds iff that graph has an odd cycle or a candidate with fewer
+  than two composites.  One pass over the components, highest morphism
+  first, gives the first bad coloring in Gray order directly.
+* otherwise: all k^|hom(A,C)| colorings are examined in Gray order, block
+  by block.  The colorings of one block share their high digits and are
+  decided together, one bit each in a 4,096-bit Python int, by clearing
+  the bits under which some candidate is monochromatic.
 
 Deciding is generic over a category adapter (hom enumeration, composition,
 conversion to and from public morphisms); adapters are provided for the
@@ -220,6 +227,43 @@ def _first_bad_rank(comp_sets, k: int, n: int) -> int | None:
     return None
 
 
+def _first_bad_pair_rank(comp_sets, n: int) -> int | None:
+    """:func:`_first_bad_rank` for k = 2 when every composite set has at
+    most two elements.  A bad coloring is then a proper 2-coloring of the
+    graph with one edge per candidate, so none exists when a set has fewer
+    than two elements or the graph has an odd cycle.
+
+    Gray digit j is b_j XOR b_{j+1}, b being the binary rank.  Digits are
+    fixed from n-1 down: at the highest vertex of each component its
+    orientation is chosen so that b_j = 0, and every other digit is forced
+    by its component, which gives the least rank.
+    """
+    adj = [[] for _ in range(n)]
+    for comps in comp_sets:
+        if len(comps) < 2:
+            return None
+        i, j = comps
+        adj[i].append(j)
+        adj[j].append(i)
+    digit = [-1] * n
+    rank = b = 0
+    for top in range(n - 1, -1, -1):
+        if digit[top] < 0:
+            digit[top] = b
+            stack = [top]
+            while stack:
+                v = stack.pop()
+                for u in adj[v]:
+                    if digit[u] < 0:
+                        digit[u] = 1 - digit[v]
+                        stack.append(u)
+                    elif digit[u] == digit[v]:
+                        return None
+        b ^= digit[top]
+        rank |= b << top
+    return rank
+
+
 class CompositeTable:
     """The three hom sets and, per candidate w of hom(B,C), the indices of
     {w . q : q in hom(A,B)} inside hom(A,C); ``index`` maps each morphism
@@ -261,13 +305,15 @@ def _hom_sets(instance: ArrowInstance, budget: Budget) -> tuple[list, list, list
 
 
 def decide_arrow(instance: ArrowInstance, budget: Budget = DEFAULT_BUDGET) -> ArrowVerdict:
-    """Decide C -> (B)^A_k by exhausting all colorings of hom(A, C).
+    """Decide C -> (B)^A_k over the colorings of hom(A, C).
 
-    Refuses (naming the blowup) when a hom set exceeds ``budget.max_hom``
-    or ``k^|hom(A,C)|`` exceeds ``budget.max_colorings``.  A failing
-    instance returns the first bad coloring in Gray order, and
-    ``colorings_checked`` is its rank plus one; a holding one reports all
-    k^|hom(A,C)| colorings.
+    With k = 2 and at most two composites per candidate this 2-colors the
+    composite graph; otherwise it examines the colorings block by block in
+    Gray order.  Refuses (naming the blowup) when a hom set exceeds
+    ``budget.max_hom`` or ``k^|hom(A,C)|`` exceeds
+    ``budget.max_colorings``, on either path.  A failing instance returns
+    the first bad coloring in Gray order, and ``colorings_checked`` is its
+    rank plus one; a holding one reports all k^|hom(A,C)| colorings.
     """
     k, homs = instance.k, _hom_sets(instance, budget)
     n = len(homs[0])
@@ -278,7 +324,10 @@ def decide_arrow(instance: ArrowInstance, budget: Budget = DEFAULT_BUDGET) -> Ar
             f"colorings, above the budget of {budget.max_colorings}"
         )
     table = CompositeTable(instance.category, *homs)
-    rank = _first_bad_rank(table.comp_sets, k, n)
+    if k == 2 and all(len(comps) <= 2 for comps in table.comp_sets):
+        rank = _first_bad_pair_rank(table.comp_sets, n)
+    else:
+        rank = _first_bad_rank(table.comp_sets, k, n)
     if rank is None:
         return ArrowVerdict(True, table.counts(total), table=table)
     bad = tuple(c + 1 for c in _gray_digits(rank, n, k))

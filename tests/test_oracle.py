@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from ramseylift import structures
+from ramseylift import oracle, structures
 from ramseylift import words as W
 from ramseylift.errors import BudgetError, DomainError
 from ramseylift.oracle import (
@@ -68,12 +68,12 @@ def _reference_comp_sets(inst: ArrowInstance):
     return len(hom_ac), [{index[compose(w, q)] for q in hom_ab} for w in hom(inst.B, inst.C)]
 
 
-def _reference_decide(inst: ArrowInstance):
-    """(holds, bad coloring, colorings checked) by walking the reference
-    Gray order and re-checking every candidate at every coloring."""
-    n, comps = _reference_comp_sets(inst)
+def _reference_walk(n: int, comps, k: int):
+    """(holds, bad coloring, colorings checked) of k colors on n morphisms
+    by walking the reference Gray order and re-checking every candidate,
+    given by the indices of its composites, at every coloring."""
     state = [0] * n
-    steps = _gray_steps(n, inst.k)
+    steps = _gray_steps(n, k)
     for rank in itertools.count():
         if not any(len({state[i] for i in c}) <= 1 for c in comps):
             return False, tuple(c + 1 for c in state), rank + 1
@@ -81,6 +81,12 @@ def _reference_decide(inst: ArrowInstance):
         if step is None:
             return True, None, rank + 1
         state[step[0]] = step[2]
+
+
+def _reference_decide(inst: ArrowInstance):
+    """:func:`_reference_walk` on the instance's reference composite sets."""
+    n, comps = _reference_comp_sets(inst)
+    return _reference_walk(n, comps, inst.k)
 
 
 def _random_instances(seed: str, count: int, max_colorings: int):
@@ -127,7 +133,56 @@ LATE_FAILURES = [
         LinOrderedGraph.build(range(1, 7), [(1, 4), (1, 5), (2, 3), (2, 4), (2, 6), (3, 5), (4, 5)]),
         4,
     ),
+    ArrowInstance(  # k = 2 with two composites per candidate: decided by 2-coloring
+        POSETS, POINT, CHAIN2,
+        LinOrderedPoset.build(range(14), [(i, j) for i, j in itertools.combinations(range(14), 2)
+                                          if i % 2 == 0 and j % 2 == 1]),
+        2,
+    ),
 ]
+
+
+class _GivenHoms:
+    """A category of three objects "A", "B" and "C" with given hom sets:
+    hom(A,C) is range(n), each candidate of hom(B,C) is a tuple of indices
+    into it, and hom(A,B) is range(n_ab), so that w . q = w[q]."""
+
+    name = "given"
+
+    def __init__(self, n: int, candidates, n_ab: int = 2):
+        self.homs = {("A", "C"): list(range(n)), ("B", "C"): list(candidates),
+                     ("A", "B"): list(range(n_ab))}
+
+    def hom(self, a, b, budget=None):
+        return self.homs[a, b]
+
+    def compose(self, outer, inner):
+        return outer[inner]
+
+
+def _pair_instance(n: int, candidates, n_ab: int = 2, k: int = 2) -> ArrowInstance:
+    return ArrowInstance(_GivenHoms(n, candidates, n_ab), "A", "B", "C", k)
+
+
+def _pair_instances(seed: str, count: int):
+    """Seeded instances with k = 2 and at most two composites per candidate,
+    on up to 20 morphisms.  Half keep a planted 2-coloring proper, so they
+    fail; a few have a candidate with one composite or none, so they hold."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(0, 20)
+        side = [rng.randrange(2) for _ in range(n)]
+        planted = rng.random() < 0.5
+        edges = []
+        for _ in range(rng.randint(0, 2 * n) if n >= 2 else 0):
+            i, j = rng.sample(range(n), 2)
+            if not planted or side[i] != side[j]:
+                edges.append((i, j))
+        if n and rng.random() < 0.03:
+            edges.insert(rng.randint(0, len(edges)), (rng.randrange(n),) * 2)
+        out.append(_pair_instance(n, edges, rng.choice([2] * 48 + [0, 1])))
+    return out
 
 
 def test_gray_walk_covers_everything_one_digit_at_a_time():
@@ -156,6 +211,64 @@ def test_kernel_matches_reference_walk():
         multi_block += inst.k ** verdict.counts["hom_AC"] > 4096
         late += not holds and checked > 4096
     assert multi_block >= 10 and late >= len(LATE_FAILURES)
+
+
+def test_pair_decider_matches_the_gray_kernel(monkeypatch):
+    """With k = 2 and at most two composites per candidate, decide_arrow
+    2-colors the composite graph instead of running _first_bad_rank, and
+    returns the same verdict, first bad coloring and count: against the
+    reference walk up to 12 morphisms, against the kernel up to 20."""
+    kernel, generic = oracle._first_bad_rank, []
+
+    def counting_kernel(*args):
+        generic.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(oracle, "_first_bad_rank", counting_kernel)
+    edge_cases = [
+        (_pair_instance(0, []), (False, (), 1)),  # no morphism and no candidate
+        (_pair_instance(0, [()], n_ab=0), (True, None, 1)),  # a candidate with no composite
+        (_pair_instance(5, []), (False, (1,) * 5, 1)),  # empty hom(B,C)
+        (_pair_instance(4, [(0, 1), (2, 3)], n_ab=0), (True, None, 16)),  # no composite
+        (_pair_instance(4, [(0, 1), (2, 3)], n_ab=1), (True, None, 16)),  # one composite each
+        (_pair_instance(4, [(0, 1), (2, 2)]), (True, None, 16)),  # a loop: one composite
+        (_pair_instance(3, [(0, 1)]), (False, (2, 1, 1), 2)),  # morphism 2 is uncovered
+        (_pair_instance(6, [(0, 1), (2, 1), (0, 2)]), (True, None, 64)),  # a triangle
+        (_pair_instance(6, [(5, 3)]), (False, (1, 1, 2, 2, 1, 1), 9)),  # rank 0b1000
+    ]
+    instances = _pair_instances("oracle:pairs", 2000)
+    fails = multi_block = 0
+    for inst, expected in edge_cases + [(inst, None) for inst in instances]:
+        verdict = decide_arrow(inst)
+        got = (verdict.holds, verdict.bad_coloring, verdict.counts["colorings_checked"])
+        n = verdict.counts["hom_AC"]
+        rank = kernel(verdict.table.comp_sets, 2, n)
+        if rank is None:
+            assert got == (True, None, 2**n), inst
+        else:
+            assert got == (False, tuple(c + 1 for c in _gray_digits(rank, n, 2)), rank + 1), inst
+        if n <= 12:
+            assert got == _reference_walk(n, verdict.table.comp_sets, 2), inst
+        assert expected is None or got == expected, inst
+        fails += not verdict.holds
+        multi_block += not verdict.holds and rank >= 3 * 4096
+    assert generic == []
+    assert 800 <= fails <= 1600 and multi_block >= 100
+    decide_arrow(_pair_instance(3, [(0, 1)], k=3))
+    decide_arrow(_pair_instance(3, [(0, 1, 2)], n_ab=3))
+    assert len(generic) == 2  # the kernel decides k = 3 and three composites
+
+
+def test_pair_decision_fails_late_at_the_pinned_rank():
+    """Point -> chain2 in the 14-point height-2 poset where each even point
+    lies below every later odd one: the first bad coloring alternates, at
+    Gray rank 6,553 = 0b1100110011001."""
+    inst = LATE_FAILURES[-1]
+    verdict = decide_arrow(inst)
+    assert verdict.bad_coloring == (2, 1) * 7
+    assert verdict.counts == {"hom_AC": 14, "hom_BC": 28, "hom_AB": 2, "colorings_checked": 6554}
+    recheck, _ = check_coloring(inst, verdict.bad_coloring)
+    assert not recheck.holds
 
 
 def test_composite_table_matches_reference_sets():

@@ -4,9 +4,11 @@ Each bad coloring below is a classical construction, checked here both by
 a plain loop over the forbidden subgraph and by ``check_coloring``; where
 ``decide_arrow`` cannot exhaust the colorings, its refusal is pinned.  The
 Mirsky test compares ``decide_arrow`` with a closed form: a poset C arrows
-(chain_m)^point_k iff its height is at least k(m-1)+1.
+(chain_m)^point_k iff its height is at least k(m-1)+1.  The odd-cycle test
+compares it with another: a graph arrows (K2)^K1_2 iff it is not bipartite.
 """
 
+import collections
 import itertools
 import random
 
@@ -143,3 +145,53 @@ def test_mirsky_closed_form_matches_the_oracle():
         decided.add((len(C.universe), expected))
     assert 16 in {size for size, _ in decided}  # P(4), at k = 2
     assert {holds for _, holds in decided} == {True, False}
+
+
+def is_bipartite(n, edges):
+    """Whether the graph on range(n) has no odd cycle: breadth-first search
+    gives each vertex the parity of its distance from the first vertex of
+    its component, and an edge between equal parities closes an odd cycle."""
+    neighbors = [[] for _ in range(n)]
+    for u, v in edges:
+        neighbors[u].append(v)
+        neighbors[v].append(u)
+    parity = {}
+    for source in range(n):
+        if source in parity:
+            continue
+        parity[source] = 0
+        queue = collections.deque([source])
+        while queue:
+            v = queue.popleft()
+            for u in neighbors[v]:
+                if u not in parity:
+                    parity[u] = 1 - parity[v]
+                    queue.append(u)
+    return all(parity[u] != parity[v] for u, v in edges)
+
+
+def test_vertex_edge_arrow_is_an_odd_cycle():
+    """C -> (K2)^K1_2 iff C is not bipartite (König): a 2-coloring of the
+    vertices that leaves no edge monochromatic is a bipartition.  Half the
+    graphs keep a planted bipartition, so both verdicts occur at every size
+    up to 20 vertices, within the default budget."""
+    rng = random.Random("reference:odd-cycle")
+    K1, K2 = complete_graph(1), complete_graph(2)
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(1, 20)
+        side = [rng.randrange(2) for _ in range(n)]
+        planted, p = rng.random() < 0.5, rng.choice([0.1, 0.2, 0.4])
+        edges = [(i, j) for i, j in itertools.combinations(range(n), 2)
+                 if rng.random() < p and not (planted and side[i] == side[j])]
+        C = LinOrderedGraph.build(range(n), edges)
+        inst = ArrowInstance(GRAPHS, K1, K2, C, 2)
+        verdict = decide_arrow(inst)
+        assert verdict.holds == (not is_bipartite(n, edges)), edges
+        if not verdict.holds:
+            recheck, _ = check_coloring(inst, verdict.bad_coloring)
+            assert not recheck.holds
+            color = dict(zip(embedding_ranks(K1, C), verdict.bad_coloring))
+            assert all(color[(i,)] != color[(j,)] for i, j in edges), edges
+        seen.add((verdict.holds, n > 12))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
