@@ -571,7 +571,8 @@ def transfer_demo(
         comp_idx = index_in_hom_E_GC(compose_embeddings(big, f).ranks)
         color = colors[comp_idx]
         v = impl.witness(D, E, f, u_star)
-        uv_index = table.index[base_cat.compose(w_star, base_cat.key(v))]
+        (uv,) = base_cat.compose_column([w_star], base_cat.key(v))
+        uv_index = table.index[uv]
         lifted_color = pulled[uv_index]
         factors = phi_index[uv_index] == comp_idx
         composites.append(

@@ -16,9 +16,13 @@ on one of two paths:
   decided together, one bit each in a 4,096-bit Python int, by clearing
   the bits under which some candidate is monochromatic.
 
-Deciding is generic over a category adapter (hom enumeration, composition,
-conversion to and from public morphisms); adapters are provided for the
-four structure categories and for the parameter-word category.
+Deciding is generic over a category adapter: hom enumeration, a batched
+composition ``compose_column(ws, q)`` that gives w . q for every w of ws,
+and conversion to and from public morphisms.  Inside the oracle a morphism
+is a plain int tuple (an embedding's target ranks, a word's symbols), so
+the composite table is built one column per q of hom(A, B) with C-level
+``map`` and ``zip``, not one call per (w, q) pair.  Adapters are provided
+for the four structure categories and for the parameter-word category.
 """
 
 from __future__ import annotations
@@ -26,7 +30,8 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Sequence
+from operator import itemgetter
+from typing import Iterable, Sequence
 
 from .errors import BudgetError, DomainError
 from .structures import Embedding, embedding_ranks, format_count
@@ -64,8 +69,11 @@ class StructureCategory:
             raise BudgetError(f"hom set exceeds budget of {budget.max_hom} morphisms")
         return out
 
-    def compose(self, outer: tuple[int, ...], inner: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple([outer[i] for i in inner])
+    def compose_column(self, outers, inner: tuple[int, ...]) -> Iterable[tuple[int, ...]]:
+        """w . inner for each w of ``outers``, in order."""
+        if not inner:
+            return itertools.repeat((), len(outers))
+        return zip(*[map(itemgetter(i), outers) for i in inner])
 
     def morphism(self, a, b, ranks: tuple[int, ...]) -> Embedding:
         return Embedding(a, b, ranks)
@@ -78,23 +86,30 @@ class StructureCategory:
 
 
 class WordCategory:
-    """Positive integers with m-parameter words of length n as hom(m, n)."""
+    """Positive integers with m-parameter words of length n as hom(m, n),
+    each held as its symbol tuple: w . q substitutes q's tokens for w's
+    variables.  ``morphism`` makes the :class:`~ramseylift.words.ParameterWord`
+    and ``key`` takes one back."""
 
     def __init__(self, alphabet: W.Alphabet):
         self.alphabet = alphabet
         self.name = "words"
 
-    def hom(self, a: int, b: int, budget: Budget = DEFAULT_BUDGET) -> list[W.ParameterWord]:
-        return list(W.enumerate_words(self.alphabet, b, a, budget.max_hom))
+    def hom(self, a: int, b: int, budget: Budget = DEFAULT_BUDGET) -> list[tuple[int, ...]]:
+        return [w.symbols for w in W.enumerate_words(self.alphabet, b, a, budget.max_hom)]
 
-    def compose(self, outer: W.ParameterWord, inner: W.ParameterWord):
-        return W.compose(outer, inner)
+    def compose_column(self, outers, inner: tuple[int, ...]) -> Iterable[tuple[int, ...]]:
+        """w . inner for each w of ``outers``, in order, unvalidated.  Variable
+        x_i (token i) looks up ``inner``'s i-th token; a letter is negative,
+        so it indexes from the end of the list, where it finds itself."""
+        tokens = [0, *inner, *range(-len(self.alphabet), 0)]
+        return map(tuple, map(map, itertools.repeat(tokens.__getitem__), outers))
 
-    def morphism(self, a: int, b: int, w: W.ParameterWord) -> W.ParameterWord:
-        return w
+    def morphism(self, a: int, b: int, symbols: tuple[int, ...]) -> W.ParameterWord:
+        return W.ParameterWord(self.alphabet, a, symbols)
 
-    def key(self, w: W.ParameterWord) -> W.ParameterWord:
-        return w
+    def key(self, w: W.ParameterWord) -> tuple[int, ...]:
+        return w.symbols
 
     def morphism_json(self, w: W.ParameterWord):
         return {"word": w.text()}
@@ -267,20 +282,29 @@ def _first_bad_pair_rank(comp_sets, n: int) -> int | None:
 class CompositeTable:
     """The three hom sets and, per candidate w of hom(B,C), the indices of
     {w . q : q in hom(A,B)} inside hom(A,C); ``index`` maps each morphism
-    of hom(A,C) to its position."""
+    of hom(A,C) to its position, and ``widest`` is the size of the largest
+    composite set (0 when there is none).
+
+    The table is built a column at a time: one call to the category's
+    ``compose_column`` per q in hom(A,B) composes every candidate with q.
+    Only composites found in ``index`` are accepted, so the category need
+    not validate them: every key of hom(A,C) is a morphism."""
 
     def __init__(self, category, hom_ac, hom_bc, hom_ab):
         self.hom_ac, self.hom_bc, self.hom_ab = hom_ac, hom_bc, hom_ab
         self.index = index = {m: i for i, m in enumerate(hom_ac)}
-        self.comp_sets: list[tuple[int, ...]] = []
-        for w in hom_bc:
-            try:
-                seen = {index[category.compose(w, q)] for q in hom_ab}
-            except KeyError:
-                raise DomainError(
-                    "composite of candidate and small morphism falls outside hom(A, C)"
-                ) from None
-            self.comp_sets.append(tuple(sorted(seen)))
+        try:
+            cols = [list(map(index.__getitem__, category.compose_column(hom_bc, q)))
+                    for q in hom_ab]
+        except KeyError:
+            raise DomainError(
+                "composite of candidate and small morphism falls outside hom(A, C)"
+            ) from None
+        if cols:
+            self.comp_sets = list(map(tuple, map(sorted, map(set, zip(*cols)))))
+        else:
+            self.comp_sets = [()] * len(hom_bc)
+        self.widest = max(map(len, self.comp_sets), default=0)
 
     def counts(self, colorings_checked: int) -> dict:
         return {"hom_AC": len(self.hom_ac), "hom_BC": len(self.hom_bc),
@@ -324,7 +348,7 @@ def decide_arrow(instance: ArrowInstance, budget: Budget = DEFAULT_BUDGET) -> Ar
             f"colorings, above the budget of {budget.max_colorings}"
         )
     table = CompositeTable(instance.category, *homs)
-    if k == 2 and all(len(comps) <= 2 for comps in table.comp_sets):
+    if k == 2 and table.widest <= 2:
         rank = _first_bad_pair_rank(table.comp_sets, n)
     else:
         rank = _first_bad_rank(table.comp_sets, k, n)

@@ -540,7 +540,9 @@ def embedding_ranks(source, target) -> Iterator[tuple[int, ...]]:
     Images strictly increase, so the tuples come out in lexicographic
     order; element i may go to rank j when j is in the target row, at the
     image of each earlier element p, of the value p bears to i.  The walk
-    keeps a stack of candidate masks, so no recursion limit bounds k.
+    keeps a stack of candidate masks for all but the last element, so no
+    recursion limit bounds k; the last element's candidates are yielded
+    straight from their mask.
     """
     if source.kind != target.kind:
         raise EmbeddingError(f"kind mismatch: {source.kind} into {target.kind}")
@@ -550,14 +552,22 @@ def embedding_ranks(source, target) -> Iterator[tuple[int, ...]]:
     needs, rows = _pair_offsets(source, target), target.relation_rows
     if any(None in row for row in needs):
         return
+    if k == 0:
+        yield ()
+        return
+    last = k - 1
     chosen, pending, i = [0] * k, [], 0  # pending[i]: the ranks element i has yet to try
     while True:
-        if i == k:
-            yield tuple(chosen)
+        cand = (1 << (n - k + i + 1)) - (1 << (chosen[i - 1] + 1 if i else 0))
+        for p, offset in enumerate(needs[i]):
+            cand &= rows[offset + chosen[p]]
+        if i == last:
+            head = chosen[:last]
+            while cand:
+                low = cand & -cand
+                yield (*head, low.bit_length() - 1)
+                cand ^= low
         else:
-            cand = (1 << (n - k + i + 1)) - (1 << (chosen[i - 1] + 1 if i else 0))
-            for p, offset in enumerate(needs[i]):
-                cand &= rows[offset + chosen[p]]
             pending.append(cand)
         while pending and not pending[-1]:
             pending.pop()

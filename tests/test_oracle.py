@@ -57,10 +57,13 @@ def _gray_steps(n_digits: int, radix: int):
 
 def _reference_comp_sets(inst: ArrowInstance):
     """(|hom(A,C)|, per candidate of hom(B,C) the set of indices in hom(A,C)
-    of its composites), composing the public morphisms: embeddings by
-    compose_embeddings, parameter words by words.compose."""
+    of its composites), enumerating and composing the public morphisms
+    without the category adapter: embeddings by enumerate_embeddings and
+    compose_embeddings, parameter words by words.enumerate_words and the
+    validating words.compose."""
     if isinstance(inst.category, WordCategory):
-        hom, compose = inst.category.hom, W.compose
+        alphabet = inst.category.alphabet
+        hom, compose = (lambda m, n: list(W.enumerate_words(alphabet, n, m, 10**6))), W.compose
     else:
         hom, compose = (lambda x, y: list(enumerate_embeddings(x, y))), compose_embeddings
     hom_ac, hom_ab = hom(inst.A, inst.C), hom(inst.A, inst.B)
@@ -156,8 +159,8 @@ class _GivenHoms:
     def hom(self, a, b, budget=None):
         return self.homs[a, b]
 
-    def compose(self, outer, inner):
-        return outer[inner]
+    def compose_column(self, outers, inner):
+        return [w[inner] for w in outers]
 
 
 def _pair_instance(n: int, candidates, n_ab: int = 2, k: int = 2) -> ArrowInstance:
@@ -271,19 +274,75 @@ def test_pair_decision_fails_late_at_the_pinned_rank():
     assert not recheck.holds
 
 
+def _table(inst: ArrowInstance) -> CompositeTable:
+    cat = inst.category
+    return CompositeTable(cat, *(cat.hom(x, y) for x, y in
+                                 ((inst.A, inst.C), (inst.B, inst.C), (inst.A, inst.B))))
+
+
+EMPTY_POSET, EMPTY_GRAPH = LinOrderedPoset.build([], []), LinOrderedGraph.build([], [])
+K2 = LinOrderedGraph.build([1, 2], [(1, 2)])
+K3 = LinOrderedGraph.build([1, 2, 3], [(1, 2), (1, 3), (2, 3)])
+A01, ABC = Alphabet(["0", "1"]), Alphabet(["a", "b", "c"])
+TABLE_EDGE_CASES = [  # (instance, every composite set is empty)
+    (ArrowInstance(POSETS, EMPTY_POSET, CHAIN2, CHAIN3, 2), False),  # A is empty
+    (ArrowInstance(POSETS, EMPTY_POSET, EMPTY_POSET, EMPTY_POSET, 3), False),
+    (ArrowInstance(GRAPHS, EMPTY_GRAPH, K2, K3, 2), False),
+    (ArrowInstance(WordCategory(A0), 0, 1, 3, 2), False),  # ell = 0
+    (ArrowInstance(WordCategory(A01), 0, 2, 3, 2), False),
+    (ArrowInstance(POSETS, CHAIN3, CHAIN2, CHAIN3, 2), True),  # A does not embed in B
+    (ArrowInstance(GRAPHS, K2, LinOrderedGraph.build([1, 2], []),
+                   LinOrderedGraph.build([1, 2, 3], [(1, 2)]), 2), True),
+    (ArrowInstance(WordCategory(A0), 2, 1, 3, 2), True),
+    (ArrowInstance(WordCategory(A01), 1, 2, 3, 2), False),  # letters substituted
+    (ArrowInstance(WordCategory(ABC), 0, 1, 2, 2), False),
+    (ArrowInstance(WordCategory(ABC), 1, 2, 2, 3), False),
+    (ArrowInstance(WordCategory(ABC), 1, 1, 2, 2), False),
+]
+
+
 def test_composite_table_matches_reference_sets():
     instances = _random_instances("oracle:table", 90, 20_000) + LATE_FAILURES
+    instances += [inst for inst, _ in TABLE_EDGE_CASES]
     kinds = set()
     for inst in instances:
-        cat = inst.category
-        table = CompositeTable(cat, *(cat.hom(x, y) for x, y in
-                                      ((inst.A, inst.C), (inst.B, inst.C), (inst.A, inst.B))))
+        table = _table(inst)
         n, reference = _reference_comp_sets(inst)
         assert len(table.hom_ac) == n
         assert table.comp_sets == [tuple(sorted(c)) for c in reference], inst
         assert decide_arrow(inst).table.comp_sets == table.comp_sets
-        kinds.add(cat.name)
+        kinds.add(inst.category.name)
     assert kinds == {"poset", "graph", "words"}
+    for inst, empty in TABLE_EDGE_CASES:
+        comp_sets = _table(inst).comp_sets
+        assert comp_sets and all(c == () for c in comp_sets) == empty, inst
+        assert not empty or decide_arrow(inst).holds, inst
+    outside = _pair_instance(3, [(0, 1), (2, 5)])  # 5 is no morphism of hom(A,C)
+    message = r"^composite of candidate and small morphism falls outside hom\(A, C\)$"
+    for build in (_table, decide_arrow):
+        with pytest.raises(DomainError, match=message):
+            build(outside)
+
+
+@pytest.mark.parametrize("inst", [
+    ArrowInstance(POSETS, POINT, CHAIN2,
+                  LinOrderedPoset.build(range(18), itertools.combinations(range(18), 2)), 2),
+    ArrowInstance(WordCategory(A0), 1, 2, 4, 2),
+], ids=["chain18", "words"])
+def test_composite_table_composes_a_column_per_small_morphism(inst, monkeypatch):
+    """One build calls the category's compose_column once per q in
+    hom(A,B), each time with every candidate, and never per (w, q) pair."""
+    calls = []
+    compose_column = type(inst.category).compose_column
+
+    def counting(self, outers, inner):
+        calls.append(len(outers))
+        return compose_column(self, outers, inner)
+
+    monkeypatch.setattr(type(inst.category), "compose_column", counting)
+    table = _table(inst)
+    assert len(table.hom_ab) >= 2 and len(table.hom_bc) >= 10
+    assert calls == [len(table.hom_bc)] * len(table.hom_ab)
 
 
 def test_holding_poset_decision_builds_no_embedding(monkeypatch):
