@@ -7,12 +7,15 @@ in error messages; no floating point is used anywhere.  Validation, balls,
 downsets and embeddings work on ranks: a poset stores its order as up rows
 (``up[r]`` has bit s set when rank r is below-or-equal rank s), from which
 ``leq``, ``below`` and ``strict_pairs`` are read; every relation is a tuple
-of rank bitmasks, one row per value and rank (``relation_rows``);
-distances are integers over their common denominator (``scaled``), balls
-rank bitmasks (``ball_masks``), an embedding the tuple of its target
-ranks.  Each structure derives these views once and caches them, and each
-encoder remembers its last four structures (:func:`_memo_recent`).  A
-:class:`Ball` is a named tuple ``(points, radius_index)``.
+of rank bitmasks, one row per value and rank (``relation_rows``), and
+each pair of ranks p < i is read as the index of the value p bears to i
+(``pair_values``); distances are integers over their common denominator
+(``scaled``), balls rank bitmasks (``ball_masks``), an embedding the tuple
+of its target ranks.  Each structure derives these views once and caches
+them, and each encoder remembers its last four structures
+(:func:`_memo_recent`).  A :class:`Ball` is a named tuple ``(points,
+radius_index)``, and an :class:`Embedding` is a named tuple that, like a
+ball, equals the plain tuple ``(source, target, ranks)``.
 
 Construction through the ``build`` classmethods, ``from_up_rows`` or
 :func:`from_json` validates every axiom; the raw dataclass constructors
@@ -31,7 +34,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, wraps
+from functools import cached_property, partial, wraps
 from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import BudgetError, DomainError, EmbeddingError, SpectrumError, StructureError
@@ -110,6 +113,23 @@ def checked_spectrum(values) -> tuple[Fraction, ...]:
 # structure kinds
 
 
+def _pair_values(s) -> tuple[tuple[int, ...], ...]:
+    """``pair_values[i][p]``, for each pair of ranks p < i: the index in
+    ``relation_values`` of the value that p bears to i (see
+    :func:`embedding_ranks`), or -1 when it bears none, which only an
+    unvalidated space can do.  Each kind caches it as ``pair_values``."""
+    k = len(s.universe)
+    out = [[-1] * i for i in range(k)]
+    for row, later in enumerate(s.relation_rows):
+        v, p = divmod(row, k)
+        later >>= p + 1  # the ranks i > p to which p bears value v
+        while later:
+            low = later & -later
+            out[p + low.bit_length()][p] = v
+            later ^= low
+    return tuple(map(tuple, out))
+
+
 @dataclass(frozen=True)
 class LinOrderedGraph:
     order: BaseOrder
@@ -128,6 +148,8 @@ class LinOrderedGraph:
     @property
     def universe(self) -> tuple:
         return self.order.elements
+
+    pair_values = cached_property(_pair_values)
 
     @cached_property
     def relation_rows(self) -> tuple[int, ...]:
@@ -188,6 +210,8 @@ class LinOrderedPoset:
         return [(elems[r], elems[s]) for r, row in enumerate(self.up) for s in _bits(row)
                 if s != r]
 
+    pair_values = cached_property(_pair_values)
+
     @cached_property
     def relation_rows(self) -> tuple[int, ...]:
         """See :func:`embedding_ranks`; rank s is related to r when r <= s."""
@@ -217,6 +241,7 @@ class _Space:
     spectrum: tuple[Fraction, ...]
 
     relation_values = property(lambda self: self.spectrum)
+    pair_values = cached_property(_pair_values)
 
     @classmethod
     def build(cls, points, dist, spectrum=None):
@@ -434,11 +459,13 @@ def validate_structure(s) -> dict:
 # embeddings
 
 
-@dataclass(frozen=True)
-class Embedding:
+class Embedding(NamedTuple):
     """An injective map between same-kind structures that preserves and
     reflects all relations, held as the target rank of each source element
-    in source order; build through :func:`check_embedding`."""
+    in source order; build through :func:`check_embedding`.  As a named
+    tuple it is made by one ``__new__`` call, with no dataclass
+    ``__init__``, hashes and compares in C, and equals the plain tuple
+    ``(source, target, ranks)``."""
 
     source: object
     target: object
@@ -468,18 +495,16 @@ def identity_embedding(s) -> Embedding:
 def _pair_offsets(source, target) -> list[list[int | None]]:
     """``offsets[i][p]``, for each pair of source ranks p < i: the offset in
     ``target.relation_rows`` of the rows for the value that p bears to i
-    (see :func:`embedding_ranks`), or None when the target lacks that value."""
-    k, n, values = len(source.universe), len(target.universe), target.relation_values
-    at = [values.index(x) * n if x in values else None for x in source.relation_values]
-    offsets = [[None] * i for i in range(k)]
-    for row, later in enumerate(source.relation_rows):
-        v, p = divmod(row, k)
-        later >>= p + 1  # the ranks i > p to which p bears value v
-        while later:
-            low = later & -later
-            offsets[p + low.bit_length()][p] = at[v]
-            later ^= low
-    return offsets
+    (see :func:`embedding_ranks`), or None when the target lacks that value.
+    The pairs' values are the source's cached ``pair_values``; only their
+    offsets in the target are worked out here."""
+    n, values, there = len(target.universe), source.relation_values, target.relation_values
+    if values == there:
+        at = [v * n for v in range(len(values))]
+    else:
+        at = [there.index(x) * n if x in there else None for x in values]
+    at.append(None)  # a pair that bears no value, index -1
+    return [list(map(at.__getitem__, row)) for row in source.pair_values]
 
 
 def check_embedding(f, source, target) -> Embedding:
@@ -583,8 +608,7 @@ def embedding_ranks(source, target) -> Iterator[tuple[int, ...]]:
 def enumerate_embeddings(source, target) -> Iterator[Embedding]:
     """Yield all embeddings of ``source`` into ``target`` exactly once,
     sorted lexicographically by image tuple (see :func:`embedding_ranks`)."""
-    for ranks in embedding_ranks(source, target):
-        yield Embedding(source, target, ranks)
+    return map(partial(Embedding, source, target), embedding_ranks(source, target))
 
 
 def induced_substructure(s, subset: Iterable):

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator
 
 from .errors import BudgetError, DomainError, WordError
@@ -204,6 +205,12 @@ def enumerate_words(alphabet: Alphabet, n: int, m: int, limit: int) -> Iterator[
     Raises :class:`BudgetError`, before building any word, when more than
     ``limit`` words exist.
     """
+    return map(partial(ParameterWord, alphabet, m), _word_symbols(alphabet, n, m, limit))
+
+
+def _word_symbols(alphabet: Alphabet, n: int, m: int, limit: int) -> Iterator[tuple[int, ...]]:
+    """The symbol tuples of :func:`enumerate_words`, in its order and with
+    its refusals; the oracle keeps words as these tuples."""
     if n < 0 or m < 0:
         raise DomainError("n and m must be nonnegative")
     if limit < 0:
@@ -246,4 +253,4 @@ def enumerate_words(alphabet: Alphabet, n: int, m: int, limit: int) -> Iterator[
         if pos + 1 < n:
             todo.append(iter(options(pos + 1, used[pos + 1])))
             continue
-        yield ParameterWord(alphabet, m, tuple(prefix))
+        yield tuple(prefix)

@@ -324,6 +324,44 @@ def test_composite_table_matches_reference_sets():
             build(outside)
 
 
+def test_each_candidate_has_distinct_increasing_composites():
+    """Each candidate w has exactly |hom(A,B)| composites, in strictly
+    increasing hom(A,C) order: w is monic, and composing with w keeps the
+    lexicographic order of the enumerations.  The table reads its sets off
+    the columns as they are, with no set or sort, because of this."""
+    instances = _random_instances("oracle:monic", 90, 20_000) + LATE_FAILURES
+    instances += [inst for inst, _ in TABLE_EDGE_CASES]
+    kinds, sizes = set(), set()
+    for inst in instances:
+        table = _table(inst)
+        for comps in table.comp_sets:
+            assert len(comps) == len(table.hom_ab), inst
+            assert all(a < b for a, b in zip(comps, comps[1:])), inst
+        kinds.add(inst.category.name)
+        sizes.add(min(len(table.hom_ab), 3))
+    assert kinds == {"poset", "graph", "words"} and sizes == {0, 1, 2, 3}
+
+
+def test_word_hom_is_the_enumeration_as_symbol_tuples():
+    """The word adapter's hom lists the symbols of words.enumerate_words in
+    its order, and refuses with its exception and message."""
+    def outcome(run):
+        try:
+            return run()
+        except (BudgetError, DomainError) as exc:
+            return type(exc), str(exc)
+
+    refusals = 0
+    for letters in (["0"], ["0", "1"], ["a", "b", "c"]):
+        cat, alphabet = WordCategory(Alphabet(letters)), Alphabet(letters)
+        for n, m, limit in itertools.product(range(6), range(7), (0, 1, 5, 60, 10_000)):
+            got = outcome(lambda: cat.hom(m, n, Budget(max_hom=limit)))
+            want = outcome(lambda: [w.symbols for w in W.enumerate_words(alphabet, n, m, limit)])
+            assert got == want, (letters, n, m, limit)
+            refusals += isinstance(got, tuple)
+    assert refusals > 20
+
+
 @pytest.mark.parametrize("inst", [
     ArrowInstance(POSETS, POINT, CHAIN2,
                   LinOrderedPoset.build(range(18), itertools.combinations(range(18), 2)), 2),
@@ -347,13 +385,13 @@ def test_composite_table_composes_a_column_per_small_morphism(inst, monkeypatch)
 
 def test_holding_poset_decision_builds_no_embedding(monkeypatch):
     built = []
-    init = structures.Embedding.__init__
+    new = structures.Embedding.__new__  # a named tuple is made by __new__ alone
 
-    def counting_init(self, *args, **kwargs):
+    def counting_new(cls, *args, **kwargs):
         built.append(args)
-        init(self, *args, **kwargs)
+        return new(cls, *args, **kwargs)
 
-    monkeypatch.setattr(structures.Embedding, "__init__", counting_init)
+    monkeypatch.setattr(structures.Embedding, "__new__", counting_new)
     list(enumerate_embeddings(POINT, CHAIN3))
     assert len(built) == 3  # the counter sees embeddings that are made
     built.clear()

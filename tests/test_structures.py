@@ -7,10 +7,11 @@ import pytest
 
 from ramseylift.errors import DomainError, EmbeddingError, StructureError
 from ramseylift.harness import random_structure
-from ramseylift.orders import subset_key
+from ramseylift.orders import BaseOrder, subset_key
 from ramseylift.structures import (
     Ball,
     ConvUltrametricSpace,
+    Embedding,
     LinOrderedGraph,
     LinOrderedMetricSpace,
     LinOrderedPoset,
@@ -27,6 +28,7 @@ from ramseylift.structures import (
     to_json,
     validate_structure,
 )
+from ramseylift.structures import _pair_offsets
 
 from util import all_posets_on, brute_force_embeddings
 
@@ -209,6 +211,18 @@ def test_walker_edge_sizes(selector):
             assert list(embedding_ranks(empty, target)) == [()]
 
 
+def test_walker_refuses_a_kind_mismatch_at_every_source_size():
+    """The kind check comes before any offset or walk, also for the empty
+    source, which has exactly one embedding into a target of its kind."""
+    target = LinOrderedPoset.build([1, 2], [])
+    for size in (0, 1, 2):
+        source = LinOrderedGraph.build(range(size), [])
+        with pytest.raises(EmbeddingError, match="^kind mismatch: graph into poset$"):
+            list(embedding_ranks(source, target))
+        with pytest.raises(EmbeddingError, match="^kind mismatch: graph into poset$"):
+            list(enumerate_embeddings(source, target))
+
+
 def test_walker_compares_spaces_over_different_denominators():
     src = LinOrderedMetricSpace.build(["a", "b"], {("a", "b"): "1/2"}, ["0", "1/2"])
     tgt = LinOrderedMetricSpace.build(
@@ -222,6 +236,93 @@ def test_walker_compares_spaces_over_different_denominators():
     ultra_tgt = ConvUltrametricSpace.build(
         [1, 2, 3], {(1, 2): "1/2", (1, 3): "3/4", (2, 3): "3/4"}, ["0", "1/2", "3/4", "5"])
     assert list(embedding_ranks(ultra_src, ultra_tgt)) == [(0, 2), (1, 2)]
+
+
+def test_embedding_is_an_immutable_named_tuple():
+    """An embedding equals and hashes like the plain tuple (source, target,
+    ranks), refuses attribute assignment, and reads its element pairs as
+    before."""
+    f = check_embedding({1: 2, 2: 3, 3: 4}, DEMO_SUB, DEMO_GRAPH)
+    for name in ("ranks", "source", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(f, name, (0, 1, 2))
+    again = Embedding(DEMO_SUB, DEMO_GRAPH, (1, 2, 3))
+    assert f == again and hash(f) == hash(again) and f is not again
+    assert f == (DEMO_SUB, DEMO_GRAPH, (1, 2, 3))
+    assert hash(f) == hash((DEMO_SUB, DEMO_GRAPH, (1, 2, 3)))
+    assert len({f, again, Embedding(DEMO_SUB, DEMO_GRAPH, (0, 2, 3))}) == 2
+    assert f != Embedding(DEMO_SUB, DEMO_SUB, (0, 1, 2))
+    assert f.ranks == (1, 2, 3)
+    assert f.mapping == ((1, 2), (2, 3), (3, 4))
+    assert f.as_dict == {1: 2, 2: 3, 3: 4}
+    assert f.image() == (2, 3, 4)
+    assert [f(x) for x in DEMO_SUB.universe] == [2, 3, 4]
+    assert repr(f) == f"Embedding(source={DEMO_SUB!r}, target={DEMO_GRAPH!r}, ranks=(1, 2, 3))"
+    sub = induced_substructure(ULTRA3, ["a", "c"])
+    g = check_embedding({"a": "a", "c": "c"}, sub, ULTRA3)
+    assert (g.ranks, g.mapping, g.image(), g("c")) == ((0, 2), (("a", "a"), ("c", "c")),
+                                                       ("a", "c"), "c")
+    assert compose_embeddings(g, identity_embedding(sub)) == g
+
+
+def _fresh_pair_values(s):
+    """Per pair of ranks p < i, the index in relation_values of the value p
+    bears to i, read from the edges, the order or the distances."""
+    uni = s.universe
+
+    def value(a, b):
+        if s.kind == "graph":
+            return frozenset((a, b)) in s.edges
+        return s.below(a, b) if s.kind == "poset" else s.d(a, b)
+
+    return tuple(tuple(s.relation_values.index(value(uni[p], uni[i])) for p in range(i))
+                 for i in range(len(uni)))
+
+
+@pytest.mark.parametrize("selector", ["graph", "poset", "ultrametric", "metric"])
+def test_cached_pair_values_match_a_fresh_derivation(selector):
+    """Each structure caches the value index of every pair of its ranks;
+    the offsets of an embedding walk map them into the target's rows, and a
+    value the target lacks gives None and no embedding."""
+    rng = random.Random(f"structures:pairs:{selector}")
+    missing = 0
+    for _ in range(60):
+        tgt = random_structure(rng, selector)
+        if rng.random() < 0.5:
+            src = random_structure(rng, selector)
+        else:
+            keep = rng.sample(list(tgt.universe), rng.randint(1, len(tgt.universe)))
+            src = induced_substructure(tgt, keep)
+            if selector in ("ultrametric", "metric") and rng.random() < 0.5:
+                src = _over_attained_spectrum(src)
+        assert src.pair_values == _fresh_pair_values(src)
+        assert src.pair_values is src.pair_values
+        there, n = tgt.relation_values, len(tgt.universe)
+        values = [[src.relation_values[v] for v in row] for row in src.pair_values]
+        expected = [[there.index(x) * n if x in there else None for x in row] for row in values]
+        assert _pair_offsets(src, tgt) == expected
+        if any(None in row for row in expected):
+            missing += 1
+            assert list(embedding_ranks(src, tgt)) == []
+    assert missing > 0 or selector in ("graph", "poset")
+
+
+def test_pair_offsets_across_spectra():
+    src = LinOrderedMetricSpace.build(["a", "b"], {("a", "b"): "1/2"}, ["0", "1/2"])
+    tgt = LinOrderedMetricSpace.build(
+        [1, 2, 3], {(1, 2): "1/3", (1, 3): "1/2", (2, 3): "1/6"}, ["0", "1/6", "1/3", "1/2"])
+    assert src.pair_values == ((), (1,)) and _pair_offsets(src, tgt) == [[], [9]]
+    off = LinOrderedMetricSpace.build(["a", "b"], {("a", "b"): "2/5"})  # 2/5 is not in tgt
+    assert off.pair_values == ((), (1,)) and _pair_offsets(off, tgt) == [[], [None]]
+    assert list(embedding_ranks(off, tgt)) == []
+    with pytest.raises(EmbeddingError, match=r"distance not preserved on \('a','b'\)"):
+        check_embedding({"a": 1, "b": 3}, off, tgt)
+    # an unchecked space whose distance is missing from its own spectrum
+    raw = LinOrderedMetricSpace(BaseOrder(["a", "b"]), ((Fraction(0), Fraction(5)),
+                                                       (Fraction(5), Fraction(0))),
+                                (Fraction(0), Fraction(1)))
+    assert raw.pair_values == ((), (-1,)) and _pair_offsets(raw, raw) == [[], [None]]
+    assert list(embedding_ranks(raw, raw)) == []
 
 
 def _pairwise_clause(source, target, m):
