@@ -297,9 +297,8 @@ class CompositeTable:
     with w keeps the lexicographic order in which both hom sets are
     enumerated, so they come out increasing.  Dropping the per-candidate
     ``set``/``sorted``/``tuple`` took the median arrow benchmark operation
-    (point -> chain2 in a 10-element poset) from 0.148 to 0.102 ms, with
-    the cached pair values and the named-tuple ``Embedding`` of
-    :mod:`ramseylift.structures`."""
+    (point -> chain2 in a 10-element poset) from 0.154 to 0.108 ms, with
+    the named-tuple ``Embedding`` of :mod:`ramseylift.structures`."""
 
     def __init__(self, category, hom_ac, hom_bc, hom_ab):
         self.hom_ac, self.hom_bc, self.hom_ab = hom_ac, hom_bc, hom_ab

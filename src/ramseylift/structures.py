@@ -7,15 +7,14 @@ in error messages; no floating point is used anywhere.  Validation, balls,
 downsets and embeddings work on ranks: a poset stores its order as up rows
 (``up[r]`` has bit s set when rank r is below-or-equal rank s), from which
 ``leq``, ``below`` and ``strict_pairs`` are read; every relation is a tuple
-of rank bitmasks, one row per value and rank (``relation_rows``), and
-each pair of ranks p < i is read as the index of the value p bears to i
-(``pair_values``); distances are integers over their common denominator
-(``scaled``), balls rank bitmasks (``ball_masks``), an embedding the tuple
-of its target ranks.  Each structure derives these views once and caches
-them, and each encoder remembers its last four structures
-(:func:`_memo_recent`).  A :class:`Ball` is a named tuple ``(points,
-radius_index)``, and an :class:`Embedding` is a named tuple that, like a
-ball, equals the plain tuple ``(source, target, ranks)``.
+of rank bitmasks, one row per value and rank (``relation_rows``);
+distances are integers over their common denominator (``scaled``), balls
+rank bitmasks (``ball_masks``), an embedding the tuple of its target
+ranks.  Each structure derives these views once and caches them, and each
+encoder remembers its last four structures (:func:`_memo_recent`).  A
+:class:`Ball` is a named tuple ``(points, radius_index)``, and an
+:class:`Embedding` is a named tuple that, like a ball, equals the plain
+tuple ``(source, target, ranks)``.
 
 Construction through the ``build`` classmethods, ``from_up_rows`` or
 :func:`from_json` validates every axiom; the raw dataclass constructors
@@ -113,23 +112,6 @@ def checked_spectrum(values) -> tuple[Fraction, ...]:
 # structure kinds
 
 
-def _pair_values(s) -> tuple[tuple[int, ...], ...]:
-    """``pair_values[i][p]``, for each pair of ranks p < i: the index in
-    ``relation_values`` of the value that p bears to i (see
-    :func:`embedding_ranks`), or -1 when it bears none, which only an
-    unvalidated space can do.  Each kind caches it as ``pair_values``."""
-    k = len(s.universe)
-    out = [[-1] * i for i in range(k)]
-    for row, later in enumerate(s.relation_rows):
-        v, p = divmod(row, k)
-        later >>= p + 1  # the ranks i > p to which p bears value v
-        while later:
-            low = later & -later
-            out[p + low.bit_length()][p] = v
-            later ^= low
-    return tuple(map(tuple, out))
-
-
 @dataclass(frozen=True)
 class LinOrderedGraph:
     order: BaseOrder
@@ -148,8 +130,6 @@ class LinOrderedGraph:
     @property
     def universe(self) -> tuple:
         return self.order.elements
-
-    pair_values = cached_property(_pair_values)
 
     @cached_property
     def relation_rows(self) -> tuple[int, ...]:
@@ -210,8 +190,6 @@ class LinOrderedPoset:
         return [(elems[r], elems[s]) for r, row in enumerate(self.up) for s in _bits(row)
                 if s != r]
 
-    pair_values = cached_property(_pair_values)
-
     @cached_property
     def relation_rows(self) -> tuple[int, ...]:
         """See :func:`embedding_ranks`; rank s is related to r when r <= s."""
@@ -241,7 +219,6 @@ class _Space:
     spectrum: tuple[Fraction, ...]
 
     relation_values = property(lambda self: self.spectrum)
-    pair_values = cached_property(_pair_values)
 
     @classmethod
     def build(cls, points, dist, spectrum=None):
@@ -495,16 +472,18 @@ def identity_embedding(s) -> Embedding:
 def _pair_offsets(source, target) -> list[list[int | None]]:
     """``offsets[i][p]``, for each pair of source ranks p < i: the offset in
     ``target.relation_rows`` of the rows for the value that p bears to i
-    (see :func:`embedding_ranks`), or None when the target lacks that value.
-    The pairs' values are the source's cached ``pair_values``; only their
-    offsets in the target are worked out here."""
-    n, values, there = len(target.universe), source.relation_values, target.relation_values
-    if values == there:
-        at = [v * n for v in range(len(values))]
-    else:
-        at = [there.index(x) * n if x in there else None for x in values]
-    at.append(None)  # a pair that bears no value, index -1
-    return [list(map(at.__getitem__, row)) for row in source.pair_values]
+    (see :func:`embedding_ranks`), or None when the target lacks that value."""
+    k, n, values = len(source.universe), len(target.universe), target.relation_values
+    at = [values.index(x) * n if x in values else None for x in source.relation_values]
+    offsets = [[None] * i for i in range(k)]
+    for row, later in enumerate(source.relation_rows):
+        v, p = divmod(row, k)
+        later >>= p + 1  # the ranks i > p to which p bears value v
+        while later:
+            low = later & -later
+            offsets[p + low.bit_length()][p] = at[v]
+            later ^= low
+    return offsets
 
 
 def check_embedding(f, source, target) -> Embedding:

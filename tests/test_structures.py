@@ -265,25 +265,26 @@ def test_embedding_is_an_immutable_named_tuple():
     assert compose_embeddings(g, identity_embedding(sub)) == g
 
 
-def _fresh_pair_values(s):
-    """Per pair of ranks p < i, the index in relation_values of the value p
-    bears to i, read from the edges, the order or the distances."""
-    uni = s.universe
+def _fresh_pair_offsets(source, target):
+    """Per pair of source ranks p < i, the offset in target.relation_rows of
+    the value p bears to i, read from the edges, the order or the distances,
+    or None when the target lacks that value."""
+    uni, there, n = source.universe, target.relation_values, len(target.universe)
 
     def value(a, b):
-        if s.kind == "graph":
-            return frozenset((a, b)) in s.edges
-        return s.below(a, b) if s.kind == "poset" else s.d(a, b)
+        if source.kind == "graph":
+            return frozenset((a, b)) in source.edges
+        return source.below(a, b) if source.kind == "poset" else source.d(a, b)
 
-    return tuple(tuple(s.relation_values.index(value(uni[p], uni[i])) for p in range(i))
-                 for i in range(len(uni)))
+    return [[there.index(x) * n if x in there else None
+             for x in (value(uni[p], uni[i]) for p in range(i))] for i in range(len(uni))]
 
 
 @pytest.mark.parametrize("selector", ["graph", "poset", "ultrametric", "metric"])
-def test_cached_pair_values_match_a_fresh_derivation(selector):
-    """Each structure caches the value index of every pair of its ranks;
-    the offsets of an embedding walk map them into the target's rows, and a
-    value the target lacks gives None and no embedding."""
+def test_pair_offsets_match_a_fresh_derivation(selector):
+    """The offsets of an embedding walk, read from the source's relation
+    rows, match the values read pair by pair; a value the target lacks gives
+    None and no embedding."""
     rng = random.Random(f"structures:pairs:{selector}")
     missing = 0
     for _ in range(60):
@@ -295,11 +296,7 @@ def test_cached_pair_values_match_a_fresh_derivation(selector):
             src = induced_substructure(tgt, keep)
             if selector in ("ultrametric", "metric") and rng.random() < 0.5:
                 src = _over_attained_spectrum(src)
-        assert src.pair_values == _fresh_pair_values(src)
-        assert src.pair_values is src.pair_values
-        there, n = tgt.relation_values, len(tgt.universe)
-        values = [[src.relation_values[v] for v in row] for row in src.pair_values]
-        expected = [[there.index(x) * n if x in there else None for x in row] for row in values]
+        expected = _fresh_pair_offsets(src, tgt)
         assert _pair_offsets(src, tgt) == expected
         if any(None in row for row in expected):
             missing += 1
@@ -311,9 +308,9 @@ def test_pair_offsets_across_spectra():
     src = LinOrderedMetricSpace.build(["a", "b"], {("a", "b"): "1/2"}, ["0", "1/2"])
     tgt = LinOrderedMetricSpace.build(
         [1, 2, 3], {(1, 2): "1/3", (1, 3): "1/2", (2, 3): "1/6"}, ["0", "1/6", "1/3", "1/2"])
-    assert src.pair_values == ((), (1,)) and _pair_offsets(src, tgt) == [[], [9]]
+    assert _pair_offsets(src, tgt) == [[], [9]]
     off = LinOrderedMetricSpace.build(["a", "b"], {("a", "b"): "2/5"})  # 2/5 is not in tgt
-    assert off.pair_values == ((), (1,)) and _pair_offsets(off, tgt) == [[], [None]]
+    assert _pair_offsets(off, tgt) == [[], [None]]
     assert list(embedding_ranks(off, tgt)) == []
     with pytest.raises(EmbeddingError, match=r"distance not preserved on \('a','b'\)"):
         check_embedding({"a": 1, "b": 3}, off, tgt)
@@ -321,7 +318,7 @@ def test_pair_offsets_across_spectra():
     raw = LinOrderedMetricSpace(BaseOrder(["a", "b"]), ((Fraction(0), Fraction(5)),
                                                        (Fraction(5), Fraction(0))),
                                 (Fraction(0), Fraction(1)))
-    assert raw.pair_values == ((), (-1,)) and _pair_offsets(raw, raw) == [[], [None]]
+    assert _pair_offsets(raw, raw) == [[], [None]]
     assert list(embedding_ranks(raw, raw)) == []
 
 
