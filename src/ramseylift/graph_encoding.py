@@ -4,29 +4,31 @@ The family (see :mod:`~ramseylift.subset_encoding`) is each vertex alone,
 then the edges in clex order, so n vertices and m edges encode to n+m.  The
 target, never materialized, is the graph on subsets of {1..N} where two
 subsets are adjacent iff they intersect.
+
+An encoding is ``GraphEncoding(structure, members)``: the vertex bits, then
+the edge masks in clex order.  ``edge_order`` (the graph's own edges in that
+order) and ``family`` are views for output.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-
 from . import subset_encoding as SE
-from .orders import sort_subsets
 from .structures import Embedding, LinOrderedGraph, _memo_recent
 from .words import ParameterWord
 
 
-@dataclass(frozen=True)
 class GraphEncoding(SE.SubsetEncoding):
-    graph: LinOrderedGraph
-    edge_order: tuple[frozenset, ...]  # edges sorted by clex over the vertex order
+    @property
+    def edge_order(self) -> tuple[frozenset, ...]:
+        """The graph's edges sorted by clex over the vertex order."""
+        g = self.structure
+        rank = g.order.rank_map
+        by_mask = {sum(1 << rank[x] for x in e): e for e in g.edges}
+        return tuple(by_mask[m] for m in self.members[len(rank):])
 
-    structure = property(lambda self: self.graph)
-
-    @cached_property
+    @property
     def family(self) -> tuple[frozenset, ...]:
-        return tuple(frozenset([v]) for v in self.graph.universe) + self.edge_order
+        return tuple(frozenset([v]) for v in self.structure.universe) + self.edge_order
 
     @staticmethod
     def related(a, b) -> bool:
@@ -36,8 +38,26 @@ class GraphEncoding(SE.SubsetEncoding):
 
 @_memo_recent
 def encode_graph(g: LinOrderedGraph) -> GraphEncoding:
-    """Fix the canonical edge order and the encoded object size n+m."""
-    return GraphEncoding(g, tuple(sort_subsets(g.order, "clex", g.edges)))
+    """Fix the canonical edge order and the encoded object size n+m.
+
+    Each edge's rank mask is built with its lex key, in which rank 0 is the
+    highest bit; clex is decreasing lex key, and distinct edges have
+    distinct keys, so the order does not depend on how the edge set
+    iterates.  An edge vertex outside the base order raises a
+    :class:`DomainError`; an edge of the raw constructor that does not have
+    two vertices encodes like any other subset."""
+    order = g.order
+    rank, n = order.rank_map, len(order)
+    keyed = []
+    for e in g.edges:
+        mask = key = 0
+        for x in e:
+            r = rank[x] if x in rank else order.rank(x)
+            mask |= 1 << r
+            key |= 1 << n - 1 - r
+        keyed.append((key, mask))
+    keyed.sort(reverse=True)
+    return GraphEncoding(g, tuple([1 << r for r in range(n)] + [m for _, m in keyed]))
 
 
 def phi_graph(g: LinOrderedGraph, u: ParameterWord) -> dict:

@@ -5,24 +5,26 @@ downsets in the anti-lexicographic subset order; the target is the poset
 of subsets of {1..n} under reverse inclusion.  The anti-lexicographic
 listing is load-bearing: it is what makes the witness word well-formed for
 every embedding of a subposet.
+
+An encoding is ``PosetEncoding(structure, members)``: the downset masks of
+:func:`~ramseylift.structures.downset_masks`.  ``downsets`` (the same
+downsets as sets of elements) and ``family`` are views for output.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import subset_encoding as SE
-from .structures import Embedding, LinOrderedPoset, _memo_recent, downsets
+from .structures import Embedding, LinOrderedPoset, _members, _memo_recent, downset_masks
 from .words import ParameterWord
 
 
-@dataclass(frozen=True)
 class PosetEncoding(SE.SubsetEncoding):
-    poset: LinOrderedPoset
-    downsets: tuple[frozenset, ...]  # nonempty, strictly increasing under alex
+    @property
+    def downsets(self) -> tuple[frozenset, ...]:
+        """The nonempty downsets, strictly increasing under alex."""
+        return tuple(_members(self.structure.universe, m) for m in self.members)
 
-    structure = property(lambda self: self.poset)
-    family = property(lambda self: self.downsets)
+    family = downsets
 
     @staticmethod
     def related(a, b) -> bool:
@@ -32,7 +34,7 @@ class PosetEncoding(SE.SubsetEncoding):
 
 @_memo_recent
 def encode_poset(p: LinOrderedPoset) -> PosetEncoding:
-    return PosetEncoding(p, downsets(p))
+    return PosetEncoding(p, tuple(downset_masks(p)))
 
 
 def phi_poset(p: LinOrderedPoset, u: ParameterWord) -> dict:

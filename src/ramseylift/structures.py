@@ -368,12 +368,16 @@ def _validate_up_rows(p: LinOrderedPoset) -> None:
             if up[s] >> r & 1:
                 raise StructureError(f"relation not antisymmetric on ({elems[r]!r},{elems[s]!r})")
     for r, row in enumerate(up):
-        for s in _bits(row):
+        rest = row
+        while rest:
+            low = rest & -rest
+            s = low.bit_length() - 1
             missing = up[s] & ~row
             if missing:
                 c = elems[(missing & -missing).bit_length() - 1]
                 raise StructureError(
                     f"relation not transitive via ({elems[r]!r},{elems[s]!r},{c!r})")
+            rest ^= low
     for r, row in enumerate(() if extends else up):
         earlier = row & ((1 << r) - 1)
         if earlier:
@@ -472,9 +476,14 @@ def identity_embedding(s) -> Embedding:
 def _pair_offsets(source, target) -> list[list[int | None]]:
     """``offsets[i][p]``, for each pair of source ranks p < i: the offset in
     ``target.relation_rows`` of the rows for the value that p bears to i
-    (see :func:`embedding_ranks`), or None when the target lacks that value."""
+    (see :func:`embedding_ranks`), or None when the target lacks that value.
+    Structures that share their relation values (every pair of graphs or of
+    posets, and a space with its substructures) need no value matching."""
     k, n, values = len(source.universe), len(target.universe), target.relation_values
-    at = [values.index(x) * n if x in values else None for x in source.relation_values]
+    if source.relation_values == values:
+        at = [v * n for v in range(len(values))]
+    else:
+        at = [values.index(x) * n if x in values else None for x in source.relation_values]
     offsets = [[None] * i for i in range(k)]
     for row, later in enumerate(source.relation_rows):
         v, p = divmod(row, k)
@@ -613,13 +622,14 @@ def induced_substructure(s, subset: Iterable):
 # downsets and balls
 
 
-def downsets(p: LinOrderedPoset) -> tuple[frozenset, ...]:
-    """All nonempty downsets of the poset, strictly increasing under the
-    anti-lexicographic subset order of the poset's linear order.
+def downset_masks(p: LinOrderedPoset) -> list[int]:
+    """All nonempty downsets of the poset as rank bitmasks, increasing.
 
     As rank bitmasks, anti-lexicographic order is integer order.  A downset
     minus its top element is again a downset, since the linear order extends
-    the relation, so the downsets grow one rank at a time."""
+    the relation, so the downsets grow one rank at a time.  Those with top
+    rank r are appended after all with a lower top, in the order of the
+    downsets they extend, so the list comes out increasing."""
     down = [0] * len(p.universe)  # down[r]: the ranks below rank r
     for r, row in enumerate(p.up):
         for q in _bits(row):
@@ -628,7 +638,14 @@ def downsets(p: LinOrderedPoset) -> tuple[frozenset, ...]:
     for r, below in enumerate(down):
         bit = 1 << r
         found += [d | bit for d in found if not below & ~(d | bit)]
-    return tuple(_members(p.universe, d) for d in sorted(found[1:]))
+    return found[1:]
+
+
+def downsets(p: LinOrderedPoset) -> tuple[frozenset, ...]:
+    """All nonempty downsets of the poset, strictly increasing under the
+    anti-lexicographic subset order of the poset's linear order (see
+    :func:`downset_masks`)."""
+    return tuple(_members(p.universe, d) for d in downset_masks(p))
 
 
 class Ball(NamedTuple):

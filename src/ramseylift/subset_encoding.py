@@ -7,6 +7,12 @@ F_a containing x: an embedding into the structure on subsets of u's
 positions, ordered by clex, under the kind's relation.  Only the family
 and that relation differ between graphs and posets.
 
+An encoding is the pair ``(structure, members)``, where ``members`` is the
+family as rank masks of the structure, built by the encoder in one pass;
+``phi`` and ``witness`` read only the masks.  The family as sets of
+elements (``family``, and a graph's ``edge_order`` or a poset's
+``downsets``) is a view built on demand, for output.
+
 The witness for an embedding f of E into D sends D's a-th member to x_j
 when its f-preimage is E's j-th member, and to a letter when it is empty.
 An embedding pulls a vertex back to a vertex or nothing, an edge back to
@@ -17,45 +23,43 @@ so every preimage is a member of E's family or empty.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
+from dataclasses import dataclass
 
 from .errors import DomainError, VerificationError
 from .orders import BaseOrder, sort_subsets
 from .words import ParameterWord, compose, letter_token, validate
 
 
+@dataclass(frozen=True)
 class SubsetEncoding:
-    """The half of an encoding that does not depend on the kind.  A subclass
-    names the encoded ``structure``, its ``family`` (subsets of the universe
-    in encoding order) and ``related(a, b)``, the target relation on two
-    subsets, given as sets or as bitmasks."""
+    """The half of an encoding that does not depend on the kind: the encoded
+    ``structure`` and its family as rank masks, in encoding order.  A
+    subclass names the ``family`` view and ``related(a, b)``, the target
+    relation on two subsets, given as sets or as bitmasks."""
+
+    structure: object
+    members: tuple[int, ...]
 
     @property
     def object(self) -> int:
-        return len(self.family)
-
-    @cached_property
-    def members(self) -> tuple[int, ...]:
-        """The family as rank masks of the structure."""
-        rank = self.structure.order.rank_map
-        return tuple(sum(1 << rank[x] for x in m) for m in self.family)
-
-    @cached_property
-    def holding(self) -> tuple[tuple[int, ...], ...]:
-        """``holding[r]``: the indices of the members that contain rank r."""
-        return tuple(tuple(a for a, m in enumerate(self.members) if m >> r & 1)
-                     for r in range(len(self.structure.universe)))
+        return len(self.members)
 
 
 def _positions(mask: int, n: int) -> frozenset[int]:
     """The positions in an image mask, where position p is bit n - p."""
-    return frozenset(p for p in range(1, n + 1) if mask >> n - p & 1)
+    found = []
+    while mask:
+        low = mask & -mask
+        found.append(n + 1 - low.bit_length())
+        mask ^= low
+    return frozenset(found)
 
 
 def _images(enc: SubsetEncoding, u: ParameterWord) -> list[int]:
     """The image of each rank as a position mask, checked to be an embedding.
 
     Position p is bit n - p, so clex-increasing images are decreasing masks.
+    Each variable block is ORed into the image of every rank in its member.
     Each pair of ranks, in both directions, must bear the structure's
     relation exactly when its images bear ``enc.related``.
     """
@@ -69,12 +73,12 @@ def _images(enc: SubsetEncoding, u: ParameterWord) -> list[int]:
     for pos, tok in enumerate(u.symbols, start=1):
         if tok > 0:
             parts[tok - 1] |= 1 << n - pos
-    images = []
-    for held in enc.holding:
-        img = 0
-        for a in held:
-            img |= parts[a]
-        images.append(img)
+    images = [0] * len(s.universe)
+    for part, member in zip(parts, enc.members):
+        while member:
+            low = member & -member
+            images[low.bit_length() - 1] |= part
+            member ^= low
     k, rows, related, uni = len(images), s.relation_rows, enc.related, s.universe
     for r, q in itertools.combinations(range(k), 2):
         a, b = images[r], images[q]

@@ -5,6 +5,7 @@ import pytest
 from ramseylift import fixtures
 from ramseylift.errors import DomainError, VerificationError
 from ramseylift.graph_encoding import (
+    GraphEncoding,
     encode_graph,
     graph_on_subsets,
     phi_graph,
@@ -12,6 +13,7 @@ from ramseylift.graph_encoding import (
     witness_graph,
 )
 from ramseylift.harness import random_embedded_pair, random_word, selector_impl
+from ramseylift.orders import BaseOrder
 from ramseylift.structures import (
     LinOrderedGraph,
     check_embedding,
@@ -86,6 +88,36 @@ def test_encode_objects():
 
 def test_encode_edge_order():
     assert [sorted(e) for e in encode_graph(G).edge_order] == [[1, 2], [2, 3], [2, 4]]
+    # the edges as the graph holds them, which the CLI prints: a label equal
+    # to a vertex but of another type (1.0 or True for 1) stays as given
+    g = LinOrderedGraph.build([1, 2, 3], [(1.0, 2), (True, 3)])
+    assert repr([sorted(e) for e in encode_graph(g).edge_order]) == "[[1.0, 2], [True, 3]]"
+
+
+def test_encode_members_are_vertex_bits_then_edge_masks():
+    enc = encode_graph(G)
+    assert enc.members == (0b1, 0b10, 0b100, 0b1000, 0b11, 0b110, 0b1010)
+    assert enc.family == tuple(frozenset([v]) for v in G.universe) + enc.edge_order
+    assert enc == GraphEncoding(G, enc.members)
+
+
+def test_encode_raw_graphs():
+    """Graphs built by the raw constructor, which validates nothing: an
+    undeclared edge vertex is refused with a domain error, and edges of
+    one or three vertices encode like any other subset, in clex order.
+    ``phi`` then fails in the graph's relation rows, which read two vertices
+    per edge."""
+    order = BaseOrder([1, 2, 3])
+    undeclared = LinOrderedGraph(order, frozenset({frozenset({1, 9})}))
+    with pytest.raises(DomainError, match="^element 9 is not in the base order$"):
+        encode_graph(undeclared)
+    odd = LinOrderedGraph(order, frozenset({frozenset({1, 2, 3}), frozenset({3}),
+                                            frozenset({1, 2})}))
+    enc = encode_graph(odd)
+    assert enc.members == (0b1, 0b10, 0b100, 0b111, 0b11, 0b100)
+    assert enc.edge_order == (frozenset({1, 2, 3}), frozenset({1, 2}), frozenset({3}))
+    with pytest.raises(ValueError, match="unpack"):
+        phi_graph(odd, parse("x1 x2 x3 x4 x5 x6", A0))
 
 
 def test_phi_worked_example():

@@ -77,6 +77,8 @@ def ref_witness_poset(p, p2, f, u):
 def test_encode_examples():
     assert encode_poset(ANTI2).object == 3
     assert encode_poset(ANTI2).downsets == (frozenset({1}), frozenset({2}), frozenset({1, 2}))
+    assert encode_poset(ANTI2).members == (0b1, 0b10, 0b11)
+    assert encode_poset(ANTI2).family == encode_poset(ANTI2).downsets
     assert encode_poset(CHAIN2).object == 2
     assert encode_poset(POINT).object == 1
 

@@ -322,6 +322,24 @@ def test_pair_offsets_across_spectra():
     assert list(embedding_ranks(raw, raw)) == []
 
 
+@pytest.mark.parametrize("selector", ["graph", "poset", "ultrametric", "metric"])
+def test_pair_offsets_with_shared_values_and_an_empty_side(selector):
+    """Structures with equal relation values skip the value matching; an
+    empty target (no rows at all) or an empty source still gets the offsets
+    of the general derivation."""
+    empty = _empty(selector)
+    if selector in ("graph", "poset"):
+        pair = (LinOrderedGraph if selector == "graph" else LinOrderedPoset).build([1, 2], [(1, 2)])
+    else:
+        pair = type(empty).build([1, 2], {(1, 2): 1}, [0, 1])
+    assert pair.relation_values == empty.relation_values
+    assert _pair_offsets(pair, empty) == _fresh_pair_offsets(pair, empty) == [[], [0]]
+    assert _pair_offsets(empty, pair) == _fresh_pair_offsets(empty, pair) == []
+    assert _pair_offsets(empty, empty) == []
+    assert list(embedding_ranks(pair, empty)) == []
+    assert list(embedding_ranks(empty, pair)) == [()] == list(embedding_ranks(empty, empty))
+
+
 def _pairwise_clause(source, target, m):
     """The relation clause of check_embedding as it was before it read
     relation masks: one loop per kind over pairs of source elements, with
