@@ -368,16 +368,12 @@ def _validate_up_rows(p: LinOrderedPoset) -> None:
             if up[s] >> r & 1:
                 raise StructureError(f"relation not antisymmetric on ({elems[r]!r},{elems[s]!r})")
     for r, row in enumerate(up):
-        rest = row
-        while rest:
-            low = rest & -rest
-            s = low.bit_length() - 1
+        for s in _bits(row):
             missing = up[s] & ~row
             if missing:
                 c = elems[(missing & -missing).bit_length() - 1]
                 raise StructureError(
                     f"relation not transitive via ({elems[r]!r},{elems[s]!r},{c!r})")
-            rest ^= low
     for r, row in enumerate(() if extends else up):
         earlier = row & ((1 << r) - 1)
         if earlier:
@@ -476,14 +472,9 @@ def identity_embedding(s) -> Embedding:
 def _pair_offsets(source, target) -> list[list[int | None]]:
     """``offsets[i][p]``, for each pair of source ranks p < i: the offset in
     ``target.relation_rows`` of the rows for the value that p bears to i
-    (see :func:`embedding_ranks`), or None when the target lacks that value.
-    Structures that share their relation values (every pair of graphs or of
-    posets, and a space with its substructures) need no value matching."""
+    (see :func:`embedding_ranks`), or None when the target lacks that value."""
     k, n, values = len(source.universe), len(target.universe), target.relation_values
-    if source.relation_values == values:
-        at = [v * n for v in range(len(values))]
-    else:
-        at = [values.index(x) * n if x in values else None for x in source.relation_values]
+    at = [values.index(x) * n if x in values else None for x in source.relation_values]
     offsets = [[None] * i for i in range(k)]
     for row, later in enumerate(source.relation_rows):
         v, p = divmod(row, k)

@@ -324,9 +324,8 @@ def test_pair_offsets_across_spectra():
 
 @pytest.mark.parametrize("selector", ["graph", "poset", "ultrametric", "metric"])
 def test_pair_offsets_with_shared_values_and_an_empty_side(selector):
-    """Structures with equal relation values skip the value matching; an
-    empty target (no rows at all) or an empty source still gets the offsets
-    of the general derivation."""
+    """Structures with equal relation values and an empty target (no rows at
+    all) or an empty source get the offsets of the fresh derivation."""
     empty = _empty(selector)
     if selector in ("graph", "poset"):
         pair = (LinOrderedGraph if selector == "graph" else LinOrderedPoset).build([1, 2], [(1, 2)])
