@@ -30,8 +30,8 @@ from .structures import (
     _memo_recent,
     _rank_embedding,
     _tuple_ranks,
+    check_structure,
     checked_spectrum,
-    validate_structure,
 )
 
 COMPLETION_STEP_CAP = 10**6
@@ -159,7 +159,7 @@ def decode_poset_metric(
     elems = poset.universe
     space = LinOrderedMetricSpace(BaseOrder([tuple(map(elems.__getitem__, t)) for t in pts]),
                                   tuple(map(tuple, rows)), spect)
-    validate_structure(space)
+    check_structure(space)
     return space
 
 

@@ -124,7 +124,7 @@ class LinOrderedGraph:
     def build(cls, vertices: Iterable, edges: Iterable[Iterable]) -> "LinOrderedGraph":
         order = BaseOrder(vertices)
         g = cls(order, frozenset(frozenset(e) for e in edges))
-        validate_structure(g)
+        check_structure(g)
         return g
 
     @property
@@ -133,11 +133,16 @@ class LinOrderedGraph:
 
     @cached_property
     def relation_rows(self) -> tuple[int, ...]:
-        """See :func:`embedding_ranks`."""
+        """See :func:`embedding_ranks`.  A raw graph with an edge of other
+        than two declared vertices raises the validator's error."""
         rank, rows = self.order.rank_map, [0] * len(self.order)
-        for x, y in self.edges:
-            rows[rank[x]] |= 1 << rank[y]
-            rows[rank[y]] |= 1 << rank[x]
+        try:
+            for x, y in self.edges:
+                rows[rank[x]] |= 1 << rank[y]
+                rows[rank[y]] |= 1 << rank[x]
+        except (ValueError, KeyError):
+            _validate_edges(self)
+            raise
         full = (1 << len(rows)) - 1
         return tuple([full ^ row for row in rows] + rows)
 
@@ -167,7 +172,7 @@ class LinOrderedPoset:
         """The poset whose rank r lies below-or-equal rank s when bit s of
         ``up[r]`` is set (reflexive bits included), validated."""
         p = cls(BaseOrder(vertices), tuple(up))
-        validate_structure(p)
+        check_structure(p)
         return p
 
     @property
@@ -230,7 +235,7 @@ class _Space:
         else:
             spect = tuple(parse_rational(v) for v in spectrum)
         space = cls(order, matrix, spect)
-        validate_structure(space)
+        check_structure(space)
         return space
 
     def d(self, x, y) -> Fraction:
@@ -391,31 +396,32 @@ def _sorted_edges(rank: dict, edges) -> list[list]:
     return sorted((sorted(e, key=key) for e in edges), key=lambda e: list(map(key, e)))
 
 
-def validate_structure(s) -> dict:
+def _validate_edges(g: LinOrderedGraph) -> None:
+    """Every edge has exactly two declared vertices; the first bad edge in
+    :func:`_sorted_edges` order is named."""
+    rank = g.order.rank_map
+    bad = [e for e in g.edges if len(e) != 2 or not rank.keys() >= e]
+    for e in _sorted_edges(rank, bad):
+        if len(e) != 2:
+            text = "{" + ", ".join(map(repr, e)) + "}" if e else "set()"
+            raise StructureError(f"edge {text} must have exactly 2 vertices")
+        for v in e:
+            if v not in rank:
+                raise StructureError(f"edge vertex {v!r} not declared")
+
+
+def check_structure(s) -> None:
     """Check every axiom of the structure's kind.
 
     Raises :class:`StructureError` naming the violated axiom and a witness;
     the clauses run in rank order, so the witness does not depend on hashing.
-    Returns a small report; for the metric kinds it includes the attained
-    spectrum.
     """
     kind = getattr(s, "kind", None)
     if kind == "graph":
-        rank = s.order.rank_map
-        bad = [e for e in s.edges if len(e) != 2 or not rank.keys() >= e]
-        for e in _sorted_edges(rank, bad):
-            if len(e) != 2:
-                text = "{" + ", ".join(map(repr, e)) + "}" if e else "set()"
-                raise StructureError(f"edge {text} must have exactly 2 vertices")
-            for v in e:
-                if v not in rank:
-                    raise StructureError(f"edge vertex {v!r} not declared")
-        return {"kind": kind, "size": len(s.order), "edges": len(s.edges)}
-    if kind == "poset":
+        _validate_edges(s)
+    elif kind == "poset":
         _validate_up_rows(s)
-        return {"kind": kind, "size": len(s.order),
-                "relation_pairs": sum(row.bit_count() for row in s.up)}
-    if kind in ("ultrametric", "metric"):
+    elif kind in ("ultrametric", "metric"):
         try:
             checked_spectrum(s.spectrum)
         except SpectrumError as exc:
@@ -423,13 +429,23 @@ def validate_structure(s) -> dict:
         _validate_metric_axioms(s, strong=(kind == "ultrametric"))
         if kind == "ultrametric":
             _validate_convexity(s)
-        return {
-            "kind": kind,
-            "size": len(s.order),
-            "spectrum": [format_rational(v) for v in s.spectrum],
-            "attained": [format_rational(v) for v in sorted(s.attained())],
-        }
-    raise StructureError(f"unknown structure kind: {kind!r}")
+    else:
+        raise StructureError(f"unknown structure kind: {kind!r}")
+
+
+def validate_structure(s) -> dict:
+    """:func:`check_structure`, then a small report; for the metric kinds
+    it includes the attained spectrum."""
+    check_structure(s)
+    report = {"kind": s.kind, "size": len(s.order)}
+    if s.kind == "graph":
+        report["edges"] = len(s.edges)
+    elif s.kind == "poset":
+        report["relation_pairs"] = sum(row.bit_count() for row in s.up)
+    else:
+        report["spectrum"] = [format_rational(v) for v in s.spectrum]
+        report["attained"] = [format_rational(v) for v in sorted(s.attained())]
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +621,7 @@ def induced_substructure(s, subset: Iterable):
             sum(1 << j for j, q in enumerate(kept) if s.up[r] >> q & 1) for r in kept])
     sub = type(s)(BaseOrder(vertices),
                   tuple(tuple([s.dmatrix[r][q] for q in kept]) for r in kept), s.spectrum)
-    validate_structure(sub)
+    check_structure(sub)
     return sub
 
 

@@ -31,8 +31,8 @@ from .structures import (
     _memo_recent,
     _rank_embedding,
     _tuple_ranks,
+    check_structure,
     checked_spectrum,
-    validate_structure,
 )
 
 
@@ -107,7 +107,7 @@ def decode_poset_ultra(
     space = ConvUltrametricSpace(
         BaseOrder([tuple(map(elems.__getitem__, t)) for t in pts]),
         tuple(tuple([spect[_level(s, t)] for t in pts]) for s in pts), spect)
-    validate_structure(space)
+    check_structure(space)
     return space
 
 
@@ -161,5 +161,5 @@ def reduce_spectrum(space: ConvUltrametricSpace) -> ConvUltrametricSpace:
     """The same space with its spectrum shrunk to the attained distances plus 0."""
     spect = tuple(sorted(space.attained() | {Fraction(0)}))
     reduced = ConvUltrametricSpace(space.order, space.dmatrix, spect)
-    validate_structure(reduced)
+    check_structure(reduced)
     return reduced

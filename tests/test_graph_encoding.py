@@ -3,7 +3,7 @@ import random
 import pytest
 
 from ramseylift import fixtures
-from ramseylift.errors import DomainError, VerificationError
+from ramseylift.errors import DomainError, StructureError, VerificationError
 from ramseylift.graph_encoding import (
     GraphEncoding,
     encode_graph,
@@ -17,6 +17,7 @@ from ramseylift.orders import BaseOrder
 from ramseylift.structures import (
     LinOrderedGraph,
     check_embedding,
+    embedding_ranks,
     enumerate_embeddings,
     identity_embedding,
 )
@@ -105,8 +106,8 @@ def test_encode_raw_graphs():
     """Graphs built by the raw constructor, which validates nothing: an
     undeclared edge vertex is refused with a domain error, and edges of
     one or three vertices encode like any other subset, in clex order.
-    ``phi`` then fails in the graph's relation rows, which read two vertices
-    per edge."""
+    ``phi`` and the embedding walk then refuse in the graph's relation rows,
+    with the validator's error naming the first bad edge."""
     order = BaseOrder([1, 2, 3])
     undeclared = LinOrderedGraph(order, frozenset({frozenset({1, 9})}))
     with pytest.raises(DomainError, match="^element 9 is not in the base order$"):
@@ -116,8 +117,10 @@ def test_encode_raw_graphs():
     enc = encode_graph(odd)
     assert enc.members == (0b1, 0b10, 0b100, 0b111, 0b11, 0b100)
     assert enc.edge_order == (frozenset({1, 2, 3}), frozenset({1, 2}), frozenset({3}))
-    with pytest.raises(ValueError, match="unpack"):
+    with pytest.raises(StructureError, match=r"^edge \{1, 2, 3\} must have exactly 2 vertices$"):
         phi_graph(odd, parse("x1 x2 x3 x4 x5 x6", A0))
+    with pytest.raises(StructureError, match=r"^edge vertex 9 not declared$"):
+        next(embedding_ranks(undeclared, undeclared))
 
 
 def test_phi_worked_example():

@@ -494,6 +494,56 @@ def _reference_gr(alphabet, n, m, ell, k):
     return True, {**counts, "colorings_checked": checked}, None
 
 
+def _odometer_gr(alphabet, n, m, ell, k, budget=Budget()):
+    """:func:`decide_gr`'s earlier walk, kept as its reference: the same
+    odometer order and block skips, with ``ParameterWord`` composites
+    through the validating ``words.compose``, a sorted index list per
+    candidate, and an ``any(all(...))`` test at each new position."""
+    if k < 2:
+        raise DomainError(f"number of colors must be at least 2, got {k}")
+    if m > n:
+        raise DomainError(f"no word with {m} parameters and length {n} exists")
+    n_small = W.count_words(alphabet, n, ell)
+    if n_small > budget.max_hom:
+        raise BudgetError(
+            f"|W^{n}_{ell}| = {structures.format_count(n_small)} exceeds the hom budget "
+            f"{budget.max_hom}"
+        )
+    total = k**n_small
+    if total > budget.max_colorings:
+        raise BudgetError(
+            f"deciding needs k^|W^{n}_{ell}| = {structures.format_count(k)}^{n_small} = "
+            f"{structures.format_count(total)} colorings, above the budget of "
+            f"{budget.max_colorings}"
+        )
+    small = list(W.enumerate_words(alphabet, n, ell, budget.max_hom))
+    mids = list(W.enumerate_words(alphabet, n, m, budget.max_hom))
+    plugs = list(W.enumerate_words(alphabet, m, ell, budget.max_hom))
+    index = {w.symbols: i for i, w in enumerate(small)}
+    counts = {"hom_AC": len(small), "hom_BC": len(mids), "hom_AB": len(plugs)}
+    size = len(small)
+    closing = [[] for _ in range(size)]  # closing[i]: the candidates whose last composite is i
+    for u in mids:
+        comps = sorted({index[W.compose(u, v).symbols] for v in plugs})
+        if not comps:  # no composite at all: monochromatic under every coloring
+            return oracle.ArrowVerdict(True, {**counts, "colorings_checked": k**size})
+        closing[comps[-1]].append(comps)
+    block = [k ** (size - 1 - i) for i in range(size)]  # extensions of a prefix through i
+    prefix, checked = [], 0
+    while len(prefix) < size:
+        prefix.append(0)
+        while any(all(prefix[j] == prefix[comps[0]] for j in comps)
+                  for comps in closing[len(prefix) - 1]):
+            checked += block[len(prefix) - 1]
+            while prefix and prefix[-1] == k - 1:
+                prefix.pop()
+            if not prefix:
+                return oracle.ArrowVerdict(True, {**counts, "colorings_checked": checked})
+            prefix[-1] += 1
+    return oracle.ArrowVerdict(False, {**counts, "colorings_checked": checked + 1},
+                               bad_coloring=tuple(c + 1 for c in prefix))
+
+
 def test_gr_matches_the_one_coloring_at_a_time_reference():
     budget = Budget(max_colorings=3 * 10**5)
     compared = []
@@ -524,6 +574,77 @@ def test_gr_skips_the_block_under_a_monochromatic_prefix():
     assert verdict.counts == {"hom_AC": 7, "hom_BC": 6, "hom_AB": 3, "colorings_checked": 12}
     assert (verdict.holds, verdict.counts, verdict.bad_coloring) == _reference_gr(A0, 3, 2, 1, 2)
     recheck, _ = check_coloring(ArrowInstance(WordCategory(A0), 1, 2, 3, 2), verdict.bad_coloring)
+    assert not recheck.holds
+
+
+def _gr_outcome(decide, *args):
+    """(holds, counts, bad coloring), or the refusal's class and message."""
+    try:
+        verdict = decide(*args)
+    except (BudgetError, DomainError) as exc:
+        return type(exc), str(exc)
+    return verdict.holds, verdict.counts, verdict.bad_coloring
+
+
+def test_gr_matches_the_odometer_walk():
+    """The mask walk against the walk it replaced, at the default budget,
+    which reaches instances the one-coloring-at-a-time reference cannot."""
+    decided = {}
+    for letters in ([], ["0"], ["0", "1"]):
+        alphabet = Alphabet(letters)
+        for n in range(7):
+            for m in range(n + 2):
+                for ell in range(m + 2):
+                    for k in (2, 3):
+                        want = _gr_outcome(_odometer_gr, alphabet, n, m, ell, k)
+                        assert _gr_outcome(decide_gr, alphabet, n, m, ell, k) == want, (
+                            letters, n, m, ell, k)
+                        if not isinstance(want[0], type):
+                            decided[len(letters), n, m, ell, k] = want
+    assert len(decided) == 391 and {v[0] for v in decided.values()} == {True, False}
+    assert decided[1, 4, 2, 1, 2][:2] == (False, {"hom_AC": 15, "hom_BC": 25, "hom_AB": 3,
+                                                  "colorings_checked": 16_245})
+    assert decided[2, 3, 1, 1, 2][:2] == (True, {"hom_AC": 19, "hom_BC": 19, "hom_AB": 1,
+                                                 "colorings_checked": 2**19})
+
+
+def test_gr_composite_outside_the_enumeration_is_a_domain_error(monkeypatch):
+    """A composite is accepted only when found among the enumerated words of
+    W^n_ell; with one of them dropped, the miss is a domain error."""
+    enumerate_symbols = W._word_symbols
+
+    def dropping(alphabet, n, m, limit):
+        words = list(enumerate_symbols(alphabet, n, m, limit))
+        return words[1:] if (n, m) == (3, 1) else words
+
+    monkeypatch.setattr(W, "_word_symbols", dropping)
+    with pytest.raises(DomainError, match=r"falls outside W\^3_1$"):
+        decide_gr(A0, 3, 2, 1, 2)
+
+
+def test_gr_is_independent_of_the_generic_oracle(monkeypatch):
+    """decide_gr shares nothing with decide_arrow and builds no
+    ParameterWord; its bad coloring still passes check_coloring."""
+    shared = {"CompositeTable", "compose_column", "_first_bad_rank", "_first_bad_pair_rank",
+              "_hom_sets", "WordCategory"}
+    assert not shared & set(decide_gr.__code__.co_names)
+    built = []
+    word = W.ParameterWord
+
+    def counting(*args):
+        built.append(args)
+        return word(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(W, "ParameterWord", counting)
+        list(W.enumerate_words(A0, 2, 1, 10))
+        assert len(built) == 3  # the counter sees words that are made
+        built.clear()
+        holding = decide_gr(Alphabet(["0", "1"]), 3, 1, 1, 2)
+        failing = decide_gr(A0, 3, 2, 1, 2)
+    assert built == []
+    assert holding.holds and not failing.holds
+    recheck, _ = check_coloring(ArrowInstance(WordCategory(A0), 1, 2, 3, 2), failing.bad_coloring)
     assert not recheck.holds
 
 
