@@ -6,25 +6,24 @@ target, never materialized, is the graph on subsets of {1..N} where two
 subsets are adjacent iff they intersect.
 
 An encoding is ``GraphEncoding(structure, members)``: the vertex bits, then
-the edge masks in clex order.  ``edge_order`` (the graph's own edges in that
-order) and ``family`` are views for output.
+the edge masks in clex order.  ``edge_order`` (the graph's edges in that
+order, as sets of universe vertices) and ``family`` are views for output.
 """
 
 from __future__ import annotations
 
 from . import subset_encoding as SE
-from .structures import Embedding, LinOrderedGraph, _memo_recent
+from .structures import Embedding, LinOrderedGraph, _members, _memo_recent
 from .words import ParameterWord
 
 
 class GraphEncoding(SE.SubsetEncoding):
     @property
     def edge_order(self) -> tuple[frozenset, ...]:
-        """The graph's edges sorted by clex over the vertex order."""
-        g = self.structure
-        rank = g.order.rank_map
-        by_mask = {sum(1 << rank[x] for x in e): e for e in g.edges}
-        return tuple(by_mask[m] for m in self.members[len(rank):])
+        """The graph's edges sorted by clex over the vertex order, each as a
+        set of the universe's vertices."""
+        universe = self.structure.universe
+        return tuple(_members(universe, m) for m in self.members[len(universe):])
 
     @property
     def family(self) -> tuple[frozenset, ...]:

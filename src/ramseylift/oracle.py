@@ -11,10 +11,12 @@ on one of two paths:
   relation holds iff that graph has an odd cycle or a candidate with fewer
   than two composites.  One pass over the components, highest morphism
   first, gives the first bad coloring in Gray order directly.
-* otherwise: all k^|hom(A,C)| colorings are examined in Gray order, block
-  by block.  The colorings of one block share their high digits and are
-  decided together, one bit each in a 4,096-bit Python int, by clearing
-  the bits under which some candidate is monochromatic.
+* otherwise: a depth-first search fixes the Gray rank's digits from the
+  highest morphism down and tests each candidate with one AND when its
+  lowest composite gets a color.  When every color of a digit fails, it
+  jumps back to the nearest digit that the failures involve, skipping only
+  colorings that cannot be bad, so the first coloring it completes is the
+  first bad one.
 
 Deciding is generic over a category adapter: hom enumeration, a batched
 composition ``compose_column(ws, q)`` that gives w . q for every w of ws,
@@ -27,7 +29,6 @@ for the four structure categories and for the parameter-word category.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -147,9 +148,6 @@ class ArrowVerdict:
         return out
 
 
-_BLOCK_BITS = 4096  # colorings decided together by each big-int operation
-
-
 def _gray_digits(rank: int, n: int, k: int) -> list[int]:
     """Digits 0..n-1 of the coloring at ``rank`` in reflected k-ary Gray
     order, digit 0 changing fastest: with q = rank // k^j and v = q % k,
@@ -161,85 +159,66 @@ def _gray_digits(rank: int, n: int, k: int) -> list[int]:
     return out
 
 
-@functools.cache
-def _low_digit_masks(b: int, k: int, parity: int) -> tuple[tuple[int, ...], ...]:
-    """masks[j][c] has bit r set when digit j < b equals c at rank
-    parity * k^b + r.  Digit j runs through 0..k-1 and back in runs of k^j
-    ranks, so within any block of k^b ranks it depends only on the parity
-    of the block index; every block of one parity shares these masks."""
-    size = k**b
-    masks = []
-    for j in range(b):
-        run, span = k**j, k ** (j + 1)
-        reflected = parity * k ** (b - j - 1) & 1
-        row = []
-        for c in range(k):
-            up = ((1 << run) - 1) << (c * run)
-            down = ((1 << run) - 1) << ((k - 1 - c) * run)
-            x = down | up << span if reflected else up | down << span
-            width = 2 * span
-            while width < size:
-                x |= x << width
-                width *= 2
-            row.append(x & ((1 << size) - 1))
-        masks.append(tuple(row))
-    return tuple(masks)
-
-
-def _mono_masks(digit_masks, low, k: int, full: int) -> list[int]:
-    """Per color c, the ranks of a block at which every digit in low is c."""
-    out = []
-    for c in range(k):
-        m = full
-        for i in low:
-            m &= digit_masks[i][c]
-        out.append(m)
-    return out
-
-
 def _first_bad_rank(comp_sets, k: int, n: int) -> int | None:
     """Gray rank of the first coloring under which no candidate is
     monochromatic, or None when there is none.
 
-    Digits below b are decided k^b colorings at a time: bit r of ``good``
-    stands for rank block * k^b + r, and each candidate whose high
-    composites share a color c clears the ranks where its low composites
-    are all c as well.
+    A depth-first search fixes the rank's base-k digits from n-1 down, each
+    through 0..k-1, so the first coloring it completes has the least rank.
+    Digit j with value v takes color k-1-v when rank // k^(j+1) is odd, else
+    v; ``odd[j]`` carries that parity down.  A candidate is the bitmask of
+    its composites, tested once, when its lowest bit j gets a color c: it is
+    monochromatic iff no bit of it lies outside the digits of color c.
+
+    When every value of digit j fails, the search jumps back to the lowest
+    digit above j that one of the failing candidates, or a failure jumped
+    back to j, involves (conflict-directed backjumping, Prosser 1993).  The
+    failures depend only on the colors of the digits in that conflict set,
+    and each digit runs through all k colors whatever the parity above it,
+    so no digit in between can change them; an empty set means every
+    coloring fails.
     """
-    b = 0
-    while b < n and k ** (b + 1) <= _BLOCK_BITS:
-        b += 1
-    size, blocks = k**b, k ** (n - b)
-    full = (1 << size) - 1
-    start, mixed = [], []
-    for parity in range(min(blocks, 2)):
-        digit_masks = _low_digit_masks(b, k, parity)
-        covered, pending, shared = 0, [], {}  # low digits -> complemented masks
-        for comps in comp_sets:
-            low = tuple(i for i in comps if i < b)
-            high = [i - b for i in comps if i >= b]
-            if not high:
-                for m in _mono_masks(digit_masks, low, k, full):
-                    covered |= m
-                continue
-            if low not in shared:
-                shared[low] = [~m for m in _mono_masks(digit_masks, low, k, full)]
-            pending.append((high, shared[low]))
-        start.append(full & ~covered)
-        mixed.append(pending)
-    for block in range(blocks):
-        good = start[block & 1]
-        if good and mixed[block & 1]:
-            hi = _gray_digits(block, n - b, k)
-            for high, not_mono in mixed[block & 1]:
-                c = hi[high[0]]
-                if all(hi[i] == c for i in high):
-                    good &= not_mono[c]
-                    if not good:
-                        break
-        if good:
-            return block * size + (good & -good).bit_length() - 1
-    return None
+    closing = [[] for _ in range(n)]  # closing[j]: the masks whose lowest bit is j
+    for comps in comp_sets:
+        mask = 0
+        for i in comps:
+            mask |= 1 << i
+        if not mask & (mask - 1):  # one composite or none: always monochromatic
+            return None
+        closing[(mask & -mask).bit_length() - 1].append(mask)
+    colored = [0] * k  # colored[c]: the colored digits of color c
+    value, conflict, odd = [0] * n, [0] * n, [0] * (n + 1)
+    j = n - 1
+    while j >= 0:
+        v = value[j]
+        c = k - 1 - v if odd[j + 1] else v
+        colored[c] |= 1 << j
+        other = ~colored[c]
+        for mask in closing[j]:
+            if not mask & other:
+                break
+        else:
+            odd[j] = (odd[j + 1] * k + v) & 1
+            j -= 1
+            continue
+        colored[c] ^= 1 << j  # a monochromatic candidate: v fails
+        conflict[j] |= mask ^ 1 << j
+        while value[j] == k - 1:  # every value fails: jump back
+            jumped, value[j], conflict[j] = conflict[j], 0, 0
+            if not jumped:
+                return None
+            i = (jumped & -jumped).bit_length() - 1
+            for t in range(j + 1, i):
+                value[t] = conflict[t] = 0
+            keep = ~((1 << i + 1) - (1 << j + 1))  # un-color digits j+1..i
+            colored = [x & keep for x in colored]
+            conflict[i] |= jumped ^ 1 << i
+            j = i
+        value[j] += 1
+    rank = 0
+    for v in reversed(value):
+        rank = rank * k + v
+    return rank
 
 
 def _first_bad_pair_rank(comp_sets, n: int) -> int | None:
@@ -339,8 +318,8 @@ def decide_arrow(instance: ArrowInstance, budget: Budget = DEFAULT_BUDGET) -> Ar
     """Decide C -> (B)^A_k over the colorings of hom(A, C).
 
     With k = 2 and at most two composites per candidate this 2-colors the
-    composite graph; otherwise it examines the colorings block by block in
-    Gray order.  Refuses (naming the blowup) when a hom set exceeds
+    composite graph; otherwise it searches the colorings depth first in
+    Gray order, with backjumping.  Refuses (naming the blowup) when a hom set exceeds
     ``budget.max_hom`` or ``k^|hom(A,C)|`` exceeds
     ``budget.max_colorings``, on either path.  A failing instance returns
     the first bad coloring in Gray order, and ``colorings_checked`` is its
@@ -410,7 +389,7 @@ def decide_gr(
 
     Deliberately independent of :func:`decide_arrow`, so the two routes
     cross-check each other: it shares no composite table, batched
-    composition or Gray kernel.  Words stay symbol tuples; u . v
+    composition or Gray search.  Words stay symbol tuples; u . v
     substitutes v's tokens for u's variables and is accepted only when
     found among the enumerated words of W^n_ell, so nothing is re-validated
     and a miss is a :class:`DomainError`.  Colorings of W^n_ell are walked

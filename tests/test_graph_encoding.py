@@ -89,10 +89,10 @@ def test_encode_objects():
 
 def test_encode_edge_order():
     assert [sorted(e) for e in encode_graph(G).edge_order] == [[1, 2], [2, 3], [2, 4]]
-    # the edges as the graph holds them, which the CLI prints: a label equal
-    # to a vertex but of another type (1.0 or True for 1) stays as given
+    # the edges with the universe's labels, which the CLI prints: a label
+    # equal to a vertex but of another type (1.0 or True for 1) is the vertex
     g = LinOrderedGraph.build([1, 2, 3], [(1.0, 2), (True, 3)])
-    assert repr([sorted(e) for e in encode_graph(g).edge_order]) == "[[1.0, 2], [True, 3]]"
+    assert repr([sorted(e) for e in encode_graph(g).edge_order]) == "[[1, 2], [1, 3]]"
 
 
 def test_encode_members_are_vertex_bits_then_edge_masks():

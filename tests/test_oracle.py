@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import time
@@ -53,6 +54,91 @@ def _gray_steps(n_digits: int, radix: int):
             f[j] = f[j + 1]
             f[j + 1] = j + 1
         yield j, old, a[j]
+
+
+_BLOCK_BITS = 4096  # colorings decided together by each big-int operation
+
+
+@functools.cache
+def _low_digit_masks(b: int, k: int, parity: int) -> tuple[tuple[int, ...], ...]:
+    """masks[j][c] has bit r set when digit j < b equals c at rank
+    parity * k^b + r.  Digit j runs through 0..k-1 and back in runs of k^j
+    ranks, so within any block of k^b ranks it depends only on the parity
+    of the block index; every block of one parity shares these masks."""
+    size = k**b
+    masks = []
+    for j in range(b):
+        run, span = k**j, k ** (j + 1)
+        reflected = parity * k ** (b - j - 1) & 1
+        row = []
+        for c in range(k):
+            up = ((1 << run) - 1) << (c * run)
+            down = ((1 << run) - 1) << ((k - 1 - c) * run)
+            x = down | up << span if reflected else up | down << span
+            width = 2 * span
+            while width < size:
+                x |= x << width
+                width *= 2
+            row.append(x & ((1 << size) - 1))
+        masks.append(tuple(row))
+    return tuple(masks)
+
+
+def _mono_masks(digit_masks, low, k: int, full: int) -> list[int]:
+    """Per color c, the ranks of a block at which every digit in low is c."""
+    out = []
+    for c in range(k):
+        m = full
+        for i in low:
+            m &= digit_masks[i][c]
+        out.append(m)
+    return out
+
+
+def _block_kernel(comp_sets, k: int, n: int) -> int | None:
+    """The bit-parallel Gray block kernel that ``oracle._first_bad_rank``
+    replaced, kept as its reference: the Gray rank of the first coloring
+    under which no candidate is monochromatic, or None.
+
+    Digits below b are decided k^b colorings at a time: bit r of ``good``
+    stands for rank block * k^b + r, and each candidate whose high
+    composites share a color c clears the ranks where its low composites
+    are all c as well.
+    """
+    b = 0
+    while b < n and k ** (b + 1) <= _BLOCK_BITS:
+        b += 1
+    size, blocks = k**b, k ** (n - b)
+    full = (1 << size) - 1
+    start, mixed = [], []
+    for parity in range(min(blocks, 2)):
+        digit_masks = _low_digit_masks(b, k, parity)
+        covered, pending, shared = 0, [], {}  # low digits -> complemented masks
+        for comps in comp_sets:
+            low = tuple(i for i in comps if i < b)
+            high = [i - b for i in comps if i >= b]
+            if not high:
+                for m in _mono_masks(digit_masks, low, k, full):
+                    covered |= m
+                continue
+            if low not in shared:
+                shared[low] = [~m for m in _mono_masks(digit_masks, low, k, full)]
+            pending.append((high, shared[low]))
+        start.append(full & ~covered)
+        mixed.append(pending)
+    for block in range(blocks):
+        good = start[block & 1]
+        if good and mixed[block & 1]:
+            hi = _gray_digits(block, n - b, k)
+            for high, not_mono in mixed[block & 1]:
+                c = hi[high[0]]
+                if all(hi[i] == c for i in high):
+                    good &= not_mono[c]
+                    if not good:
+                        break
+        if good:
+            return block * size + (good & -good).bit_length() - 1
+    return None
 
 
 def _reference_comp_sets(inst: ArrowInstance):
@@ -214,6 +300,53 @@ def test_kernel_matches_reference_walk():
         multi_block += inst.k ** verdict.counts["hom_AC"] > 4096
         late += not holds and checked > 4096
     assert multi_block >= 10 and late >= len(LATE_FAILURES)
+
+
+def _k4_and_triangles(triangles: int, k4_high: bool) -> ArrowInstance:
+    """Vertex -> edge at k = 3 in K4 plus disjoint triangles, which holds:
+    K4 has no proper 3-coloring.  K4 takes the lowest vertex ranks, whose
+    digits the search fixes last, or the highest, which it fixes first."""
+    n = 4 + 3 * triangles
+    k4 = range(n - 4, n) if k4_high else range(4)
+    rest = [v for v in range(n) if v not in k4]
+    edges = list(itertools.combinations(k4, 2))
+    for t in range(triangles):
+        edges += itertools.combinations(rest[3 * t:3 * t + 3], 2)
+    C = LinOrderedGraph.build(range(n), edges)
+    return ArrowInstance(GRAPHS, LinOrderedGraph.build([1], []), K2, C, 3)
+
+
+def test_search_matches_the_block_kernel():
+    """The backjumping search gives the block kernel's rank on random
+    instances up to the default colorings budget, on random composite sets
+    of two to four indices, on hand-made ones, and on K4 below or above
+    disjoint triangles at k = 3."""
+    randoms = _random_instances("oracle:search", 300, 2_000_000)
+    adversarial = [_k4_and_triangles(t, high) for t in (1, 2, 3) for high in (False, True)]
+    cases = []
+    for inst in randoms + LATE_FAILURES + adversarial:
+        table = _table(inst)
+        cases.append((table.comp_sets, inst.k, len(table.hom_ac)))
+    past_block = sum(k**n > _BLOCK_BITS for _, k, n in cases[:len(randoms)])
+    rng = random.Random("oracle:hypergraphs")
+    for _ in range(1000):
+        k = rng.choice([2, 3, 4])
+        n = rng.randint(2, {2: 16, 3: 10, 4: 8}[k])
+        cases.append(([tuple(rng.sample(range(n), rng.randint(2, min(4, n))))
+                       for _ in range(rng.randint(0, 3 * n))], k, n))
+    for k in (2, 3, 4):
+        cases += [
+            ([], k, 0), ([()], k, 0), ([], k, 4), ([()], k, 3), ([(1,)], k, 3),
+            ([(2, 2)], k, 3), ([(0, 1), (2, 2)], k, 4), ([(0, 0, 1)], k, 2),
+            ([(0, 1, 1, 2), (2, 3, 3)], k, 5), ([(0, 1), (1, 2), (0, 2)], k, 3),
+        ]
+    fails = 0
+    for comp_sets, k, n in cases:
+        rank = oracle._first_bad_rank(comp_sets, k, n)
+        assert rank == _block_kernel(comp_sets, k, n), (comp_sets, k, n)
+        fails += rank is not None
+    assert past_block >= 20 and 0 < fails < len(cases)
+    assert all(decide_arrow(inst).holds for inst in adversarial)
 
 
 def test_pair_decider_matches_the_gray_kernel(monkeypatch):

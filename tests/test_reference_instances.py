@@ -6,6 +6,8 @@ a plain loop over the forbidden subgraph and by ``check_coloring``; where
 Mirsky test compares ``decide_arrow`` with a closed form: a poset C arrows
 (chain_m)^point_k iff its height is at least k(m-1)+1.  The odd-cycle test
 compares it with another: a graph arrows (K2)^K1_2 iff it is not bipartite.
+The Hales-Jewett tests compare both word deciders with the known numbers
+HJ(2,k) = k and HJ(3,2) = 4.
 """
 
 import collections
@@ -16,9 +18,18 @@ import pytest
 
 from ramseylift.errors import BudgetError
 from ramseylift.harness import random_poset
-from ramseylift.oracle import ArrowInstance, StructureCategory, check_coloring, decide_arrow
+from ramseylift.oracle import (
+    ArrowInstance,
+    Budget,
+    StructureCategory,
+    WordCategory,
+    check_coloring,
+    decide_arrow,
+    decide_gr,
+)
 from ramseylift.poset_encoding import powerset_poset
 from ramseylift.structures import LinOrderedGraph, LinOrderedPoset, embedding_ranks
+from ramseylift.words import Alphabet, enumerate_words
 
 GRAPHS = StructureCategory("graph")
 POSETS = StructureCategory("poset")
@@ -195,3 +206,70 @@ def test_vertex_edge_arrow_is_an_odd_cycle():
             assert all(color[(i,)] != color[(j,)] for i, j in edges), edges
         seen.add((verdict.holds, n > 12))
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+A01, A012 = Alphabet(["0", "1"]), Alphabet(["0", "1", "2"])
+
+
+def hales_jewett(alphabet, n, k):
+    """n -> (1)^0_k over the alphabet: hom(0, n) is the points of A^n,
+    hom(1, n) the combinatorial lines, and a line's composites are its
+    |A| points."""
+    return ArrowInstance(WordCategory(alphabet), 0, 1, n, k)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_hales_jewett_over_two_letters_is_k(k):
+    """HJ(2,k) = k.  A line of {0,1}^n is a pair of points, one below the
+    other coordinatewise, so a k-coloring without a monochromatic line colors
+    the longest chain, of n+1 points, injectively: it exists iff n < k.
+    Both word deciders fail at n = k-1 and hold at n = k."""
+    for n, holds in ((k - 1, False), (k, True)):
+        inst = hales_jewett(A01, n, k)
+        generic, direct = decide_arrow(inst), decide_gr(A01, n, 1, 0, k)
+        assert generic.holds is direct.holds is holds, n
+        assert generic.counts["hom_AC"] == 2**n and generic.counts["hom_BC"] == 3**n - 2**n
+        if holds:
+            assert generic.counts == direct.counts
+            assert generic.counts["colorings_checked"] == k ** 2**n
+        else:
+            for bad in (generic.bad_coloring, direct.bad_coloring):
+                assert not check_coloring(inst, bad)[0].holds
+
+
+def test_three_letters_three_coordinates_have_a_line_free_two_coloring():
+    """HJ(3,2) = 4 (Hindman-Tressler, Ars Combin. 2014), so some 2-coloring
+    of {0,1,2}^3 has no monochromatic line.  Past the default budget,
+    decide_arrow finds the first one in Gray order; check_coloring and a
+    plain loop over the 37 lines, each word over {0,1,2,x} with an x,
+    confirm it."""
+    inst = hales_jewett(A012, 3, 2)
+    verdict = decide_arrow(inst, Budget(max_colorings=2**27))
+    assert not verdict.holds
+    assert verdict.counts == {"hom_AC": 27, "hom_BC": 37, "hom_AB": 3,
+                              "colorings_checked": 17_553_241}
+    recheck, detail = check_coloring(inst, verdict.bad_coloring)
+    assert not recheck.holds and all(d["colors_met"] == [1, 2] for d in detail)
+    points = ["".join(w.text().split()) for w in enumerate_words(A012, 3, 0, 27)]
+    color = dict(zip(points, verdict.bad_coloring))
+    lines = ["".join(t) for t in itertools.product("012x", repeat=3) if "x" in t]
+    assert len(color) == 27 and len(lines) == 37
+    for line in lines:
+        assert len({color[line.replace("x", a)] for a in "012"}) == 2, line
+
+
+@pytest.mark.parametrize("alphabet, k, blowup", [
+    (A012, 2, "2^81 = 2417851639229258349412352"),  # HJ(3,2) = 4: holds
+    (A01, 4, "4^16 = 4294967296"),  # HJ(2,4) = 4: holds
+])
+def test_hales_jewett_at_four_coordinates_is_refused(alphabet, k, blowup):
+    """Both arrows hold at n = 4, past the default budget; the refusals of
+    both word deciders are pinned next to the known answers."""
+    with pytest.raises(BudgetError) as err:
+        decide_arrow(hales_jewett(alphabet, 4, k))
+    assert str(err.value) == (f"deciding needs k^|hom(A,C)| = {blowup} colorings, "
+                              "above the budget of 2000000")
+    with pytest.raises(BudgetError) as err:
+        decide_gr(alphabet, 4, 1, 0, k)
+    assert str(err.value) == (f"deciding needs k^|W^4_0| = {blowup} colorings, "
+                              "above the budget of 2000000")

@@ -55,7 +55,8 @@ def _masks(s, family) -> tuple[int, ...]:
 
 
 def ref_encode_graph(g):
-    edge_order = tuple(sort_subsets(g.order, "clex", g.edges))
+    edge_order = tuple(frozenset(v for v in g.universe if v in e)  # the universe's labels
+                       for e in sort_subsets(g.order, "clex", g.edges))
     family = tuple(frozenset([v]) for v in g.universe) + edge_order
     return SimpleNamespace(structure=g, edge_order=edge_order, family=family,
                            members=_masks(g, family), object=len(family),
@@ -249,7 +250,7 @@ def _check(kind, rng, s, raw) -> set[str]:
         return {"encode " + _label(ref)}
     assert (enc.structure, enc.members, enc.object) == (s, ref.members, ref.object)
     assert (enc.family, getattr(enc, view)) == (ref.family, getattr(ref, view))
-    # the views hold the structure's own labels, which the CLI prints
+    # the views hold the universe's labels, which the CLI prints
     assert [sorted(map(repr, m)) for m in enc.family] == [sorted(map(repr, m)) for m in ref.family]
     seen = set()
     for u in _words(rng, ref.object):
