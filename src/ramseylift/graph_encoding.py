@@ -39,24 +39,21 @@ class GraphEncoding(SE.SubsetEncoding):
 def encode_graph(g: LinOrderedGraph) -> GraphEncoding:
     """Fix the canonical edge order and the encoded object size n+m.
 
-    Each edge's rank mask is built with its lex key, in which rank 0 is the
-    highest bit; clex is decreasing lex key, and distinct edges have
-    distinct keys, so the order does not depend on how the edge set
-    iterates.  An edge vertex outside the base order raises a
-    :class:`DomainError`; an edge of the raw constructor that does not have
-    two vertices encodes like any other subset."""
-    order = g.order
-    rank, n = order.rank_map, len(order)
-    keyed = []
-    for e in g.edges:
-        mask = key = 0
-        for x in e:
-            r = rank[x] if x in rank else order.rank(x)
-            mask |= 1 << r
-            key |= 1 << n - 1 - r
-        keyed.append((key, mask))
-    keyed.sort(reverse=True)
-    return GraphEncoding(g, tuple([1 << r for r in range(n)] + [m for _, m in keyed]))
+    The edges come off the graph's adjacency rows (``relation_rows``) by
+    lower rank, then upper rank, which is clex: in an edge's lex key rank 0
+    is the highest bit, and clex is decreasing lex key.  So the order does
+    not depend on how the edge set iterates.  A raw graph with an edge of
+    other than two declared vertices raises the validator's
+    :class:`StructureError`, naming the first bad edge."""
+    rows = g.relation_rows[len(g.order):]
+    members = [1 << r for r in range(len(rows))]
+    for r, row in enumerate(rows):
+        later = row >> r + 1 << r + 1
+        while later:
+            low = later & -later
+            members.append(1 << r | low)
+            later ^= low
+    return GraphEncoding(g, tuple(members))
 
 
 def phi_graph(g: LinOrderedGraph, u: ParameterWord) -> dict:

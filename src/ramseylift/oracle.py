@@ -2,21 +2,21 @@
 
 The relation holds when every k-coloring of hom(A, C) admits a morphism
 w in hom(B, C) whose composites with hom(A, B) all receive one color.
-When the relation fails, the returned bad coloring is the first one in
-reflected k-ary Gray order, and it is re-checkable.  The oracle finds it
-on one of two paths:
+When the relation fails, the returned bad coloring is the
+lexicographically first one, in ``itertools.product`` order with
+morphism 0 changing slowest, and it is re-checkable.  :func:`decide_gr`
+uses the same order.  The oracle finds the coloring on one of two paths:
 
 * k = 2, every candidate with at most two composites: a bad coloring is a
   proper 2-coloring of the graph with an edge per candidate, so the
   relation holds iff that graph has an odd cycle or a candidate with fewer
-  than two composites.  One pass over the components, highest morphism
-  first, gives the first bad coloring in Gray order directly.
-* otherwise: a depth-first search fixes the Gray rank's digits from the
-  highest morphism down and tests each candidate with one AND when its
-  lowest composite gets a color.  When every color of a digit fails, it
-  jumps back to the nearest digit that the failures involve, skipping only
-  colorings that cannot be bad, so the first coloring it completes is the
-  first bad one.
+  than two composites.  One pass over the components, lowest morphism
+  first, gives the first bad coloring directly.
+* otherwise: a depth-first search colors morphism 0 first and tests each
+  candidate with one AND when its highest composite gets a color.  When
+  every color of a morphism fails, it jumps back to the nearest morphism
+  that the failures involve, skipping only colorings that cannot be bad,
+  so the first coloring it completes is the first bad one.
 
 Deciding is generic over a category adapter: hom enumeration, a batched
 composition ``compose_column(ws, q)`` that gives w . q for every w of ws,
@@ -148,89 +148,68 @@ class ArrowVerdict:
         return out
 
 
-def _gray_digits(rank: int, n: int, k: int) -> list[int]:
-    """Digits 0..n-1 of the coloring at ``rank`` in reflected k-ary Gray
-    order, digit 0 changing fastest: with q = rank // k^j and v = q % k,
-    digit j is v when q // k is even and k-1-v otherwise."""
-    out = []
-    for _ in range(n):
-        rank, v = divmod(rank, k)
-        out.append(k - 1 - v if rank & 1 else v)
-    return out
+def _first_bad_coloring(comp_sets, k: int, n: int) -> list[int] | None:
+    """The lexicographically first coloring, 0-based, under which no
+    candidate is monochromatic, or None when there is none.
 
+    A depth-first search colors morphism 0 first, each morphism through
+    0..k-1, so the first coloring it completes is the least.  A candidate
+    is the bitmask of its composites, tested once, when its highest bit j
+    gets a color c: it is monochromatic iff no bit of it lies outside the
+    morphisms of color c.
 
-def _first_bad_rank(comp_sets, k: int, n: int) -> int | None:
-    """Gray rank of the first coloring under which no candidate is
-    monochromatic, or None when there is none.
-
-    A depth-first search fixes the rank's base-k digits from n-1 down, each
-    through 0..k-1, so the first coloring it completes has the least rank.
-    Digit j with value v takes color k-1-v when rank // k^(j+1) is odd, else
-    v; ``odd[j]`` carries that parity down.  A candidate is the bitmask of
-    its composites, tested once, when its lowest bit j gets a color c: it is
-    monochromatic iff no bit of it lies outside the digits of color c.
-
-    When every value of digit j fails, the search jumps back to the lowest
-    digit above j that one of the failing candidates, or a failure jumped
-    back to j, involves (conflict-directed backjumping, Prosser 1993).  The
-    failures depend only on the colors of the digits in that conflict set,
-    and each digit runs through all k colors whatever the parity above it,
-    so no digit in between can change them; an empty set means every
-    coloring fails.
+    When every color of morphism j fails, the search jumps back to the
+    highest morphism below j that one of the failing candidates, or a
+    failure jumped back to j, involves (conflict-directed backjumping,
+    Prosser 1993).  The failures depend only on the colors of the
+    morphisms in that conflict set, so no morphism in between can change
+    them; an empty set means every coloring fails.
     """
-    closing = [[] for _ in range(n)]  # closing[j]: the masks whose lowest bit is j
+    closing = [[] for _ in range(n)]  # closing[j]: the masks whose highest bit is j
     for comps in comp_sets:
         mask = 0
         for i in comps:
             mask |= 1 << i
         if not mask & (mask - 1):  # one composite or none: always monochromatic
             return None
-        closing[(mask & -mask).bit_length() - 1].append(mask)
-    colored = [0] * k  # colored[c]: the colored digits of color c
-    value, conflict, odd = [0] * n, [0] * n, [0] * (n + 1)
-    j = n - 1
-    while j >= 0:
-        v = value[j]
-        c = k - 1 - v if odd[j + 1] else v
+        closing[mask.bit_length() - 1].append(mask)
+    colored = [0] * k  # colored[c]: the colored morphisms of color c
+    color, conflict = [0] * n, [0] * n
+    j = 0
+    while j < n:
+        c = color[j]
         colored[c] |= 1 << j
         other = ~colored[c]
         for mask in closing[j]:
             if not mask & other:
                 break
         else:
-            odd[j] = (odd[j + 1] * k + v) & 1
-            j -= 1
+            j += 1
             continue
-        colored[c] ^= 1 << j  # a monochromatic candidate: v fails
+        colored[c] ^= 1 << j  # a monochromatic candidate: c fails
         conflict[j] |= mask ^ 1 << j
-        while value[j] == k - 1:  # every value fails: jump back
-            jumped, value[j], conflict[j] = conflict[j], 0, 0
+        while color[j] == k - 1:  # every color fails: jump back
+            jumped, color[j], conflict[j] = conflict[j], 0, 0
             if not jumped:
                 return None
-            i = (jumped & -jumped).bit_length() - 1
-            for t in range(j + 1, i):
-                value[t] = conflict[t] = 0
-            keep = ~((1 << i + 1) - (1 << j + 1))  # un-color digits j+1..i
+            i = jumped.bit_length() - 1
+            for t in range(i + 1, j):
+                color[t] = conflict[t] = 0
+            keep = ~((1 << j) - (1 << i))  # un-color morphisms i..j-1
             colored = [x & keep for x in colored]
             conflict[i] |= jumped ^ 1 << i
             j = i
-        value[j] += 1
-    rank = 0
-    for v in reversed(value):
-        rank = rank * k + v
-    return rank
+        color[j] += 1
+    return color
 
 
-def _first_bad_pair_rank(comp_sets, n: int) -> int | None:
-    """:func:`_first_bad_rank` for k = 2 when every composite set has at
-    most two elements.  A bad coloring is then a proper 2-coloring of the
-    graph with one edge per candidate, so none exists when a set has fewer
-    than two elements or the graph has an odd cycle.
-
-    Gray digit j is b_j XOR b_{j+1}, b being the binary rank.  Digits are
-    fixed from n-1 down: at the highest vertex of each component its
-    orientation is chosen so that b_j = 0, and every other digit is forced
-    by its component, which gives the least rank.
+def _first_bad_pair_coloring(comp_sets, n: int) -> list[int] | None:
+    """:func:`_first_bad_coloring` for k = 2 when every composite set has
+    at most two elements.  A bad coloring is then a proper 2-coloring of
+    the graph with one edge per candidate, so none exists when a set has
+    fewer than two elements or the graph has an odd cycle.  The lowest
+    morphism of each component gets color 0 and forces the rest, which
+    gives the least coloring.
     """
     adj = [[] for _ in range(n)]
     for comps in comp_sets:
@@ -239,23 +218,20 @@ def _first_bad_pair_rank(comp_sets, n: int) -> int | None:
         i, j = comps
         adj[i].append(j)
         adj[j].append(i)
-    digit = [-1] * n
-    rank = b = 0
-    for top in range(n - 1, -1, -1):
-        if digit[top] < 0:
-            digit[top] = b
-            stack = [top]
+    color = [-1] * n
+    for low in range(n):
+        if color[low] < 0:
+            color[low] = 0
+            stack = [low]
             while stack:
                 v = stack.pop()
                 for u in adj[v]:
-                    if digit[u] < 0:
-                        digit[u] = 1 - digit[v]
+                    if color[u] < 0:
+                        color[u] = 1 - color[v]
                         stack.append(u)
-                    elif digit[u] == digit[v]:
+                    elif color[u] == color[v]:
                         return None
-        b ^= digit[top]
-        rank |= b << top
-    return rank
+    return color
 
 
 class CompositeTable:
@@ -274,10 +250,7 @@ class CompositeTable:
     injective; a word fixes q at the first occurrence of each of its
     variables), so the |hom(A,B)| composites are distinct, and composing
     with w keeps the lexicographic order in which both hom sets are
-    enumerated, so they come out increasing.  Dropping the per-candidate
-    ``set``/``sorted``/``tuple`` took the median arrow benchmark operation
-    (point -> chain2 in a 10-element poset) from 0.154 to 0.108 ms, with
-    the named-tuple ``Embedding`` of :mod:`ramseylift.structures`."""
+    enumerated, so they come out increasing."""
 
     def __init__(self, category, hom_ac, hom_bc, hom_ab):
         self.hom_ac, self.hom_bc, self.hom_ab = hom_ac, hom_bc, hom_ab
@@ -318,12 +291,13 @@ def decide_arrow(instance: ArrowInstance, budget: Budget = DEFAULT_BUDGET) -> Ar
     """Decide C -> (B)^A_k over the colorings of hom(A, C).
 
     With k = 2 and at most two composites per candidate this 2-colors the
-    composite graph; otherwise it searches the colorings depth first in
-    Gray order, with backjumping.  Refuses (naming the blowup) when a hom set exceeds
+    composite graph; otherwise it searches the colorings depth first, with
+    backjumping.  Refuses (naming the blowup) when a hom set exceeds
     ``budget.max_hom`` or ``k^|hom(A,C)|`` exceeds
     ``budget.max_colorings``, on either path.  A failing instance returns
-    the first bad coloring in Gray order, and ``colorings_checked`` is its
-    rank plus one; a holding one reports all k^|hom(A,C)| colorings.
+    the lexicographically first bad coloring, and ``colorings_checked`` is
+    its rank in ``itertools.product`` order plus one; a holding one reports
+    all k^|hom(A,C)| colorings.
     """
     k, homs = instance.k, _hom_sets(instance, budget)
     n = len(homs[0])
@@ -335,12 +309,15 @@ def decide_arrow(instance: ArrowInstance, budget: Budget = DEFAULT_BUDGET) -> Ar
         )
     table = CompositeTable(instance.category, *homs)
     if k == 2 and table.widest <= 2:
-        rank = _first_bad_pair_rank(table.comp_sets, n)
+        coloring = _first_bad_pair_coloring(table.comp_sets, n)
     else:
-        rank = _first_bad_rank(table.comp_sets, k, n)
-    if rank is None:
+        coloring = _first_bad_coloring(table.comp_sets, k, n)
+    if coloring is None:
         return ArrowVerdict(True, table.counts(total), table=table)
-    bad = tuple(c + 1 for c in _gray_digits(rank, n, k))
+    rank = 0
+    for c in coloring:
+        rank = rank * k + c
+    bad = tuple(c + 1 for c in coloring)
     return ArrowVerdict(False, table.counts(rank + 1), bad_coloring=bad, table=table)
 
 
@@ -389,21 +366,20 @@ def decide_gr(
 
     Deliberately independent of :func:`decide_arrow`, so the two routes
     cross-check each other: it shares no composite table, batched
-    composition or Gray search.  Words stay symbol tuples; u . v
+    composition or backjumping search.  Words stay symbol tuples; u . v
     substitutes v's tokens for u's variables and is accepted only when
     found among the enumerated words of W^n_ell, so nothing is re-validated
     and a miss is a :class:`DomainError`.  Colorings of W^n_ell are walked
-    depth first in plain odometer order (the last word's color changes
-    fastest), one position at a time.  A candidate is the bitmask of its
-    composites' positions, tested once, when its highest position gets a
-    color c: it is monochromatic iff no bit of it lies outside the prefix
-    positions of color c, one AND.  Then every extension of the prefix is
-    decided at once and the walk skips the whole block.  Over the arrow
-    benchmark's 20 word instances this takes about 3 ms on a 2-vCPU VM,
-    against about 10 with ``ParameterWord`` composites and an
-    ``any(all(...))`` test per position.  ``colorings_checked`` counts the
-    colorings decided, skipped blocks included: k^|W^n_ell| when the arrow
-    holds, else the first bad coloring's odometer rank plus one.  Errors
+    depth first in ``itertools.product`` order (the last word's color
+    changes fastest), one position at a time, the order in which
+    :func:`decide_arrow` finds its first bad coloring.  A candidate is the
+    bitmask of its composites' positions, tested once, when its highest
+    position gets a color c: it is monochromatic iff no bit of it lies
+    outside the prefix positions of color c, one AND.  Then every
+    extension of the prefix is decided at once and the walk skips the
+    whole block.  ``colorings_checked`` counts the colorings decided,
+    skipped blocks included: k^|W^n_ell| when the arrow holds, else the
+    first bad coloring's rank plus one, as in :func:`decide_arrow`.  Errors
     out when no m-parameter word of length n exists.
     """
     if k < 2:

@@ -7,11 +7,15 @@ protocol.  The commands cover encode, phi, witness, pa-check and
 transfer-demo for every kind, phi into an explicit poset with --map,
 transfer-demo with an integer and a poset-file --C (failing premises
 included) and with --coloring.  The data is a record of past behaviour:
-do not regenerate it to make a change pass.  Four cases were edited by
-hand when the word premise moved from ``decide_gr`` to ``decide_arrow``:
-the failing ``--C 2`` poset premise (JSON and text) now reports the first
-bad coloring in Gray order, ``[2, 1, 1]``, and the probed one's budget
-refusal names ``k^|hom(A,C)|`` instead of ``k^|W^5_1|``.
+do not regenerate it to make a change pass.  Cases edited by hand since:
+the probed word premise's budget refusal names ``k^|hom(A,C)|`` instead
+of ``k^|W^5_1|``, since ``decide_arrow`` decides it; and every failing
+premise reports its first bad coloring in itertools.product order, which
+both word deciders share: ``[1, 1, 2]`` for the word premise ``--C 2``,
+where the one candidate's three composites must not share a color, and
+``[1, 1, 1, 1, 2]`` for the ultrametric pair into the diamond poset, where
+the one candidate's composites are the last two of the five 2-chains.
+Each is pinned in JSON and in text.
 """
 
 import json

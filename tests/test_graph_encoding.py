@@ -104,23 +104,23 @@ def test_encode_members_are_vertex_bits_then_edge_masks():
 
 def test_encode_raw_graphs():
     """Graphs built by the raw constructor, which validates nothing: an
-    undeclared edge vertex is refused with a domain error, and edges of
-    one or three vertices encode like any other subset, in clex order.
-    ``phi`` and the embedding walk then refuse in the graph's relation rows,
-    with the validator's error naming the first bad edge."""
+    undeclared edge vertex or an edge of one or three vertices is refused by
+    ``encode_graph``, ``phi`` and the embedding walk alike, in the graph's
+    relation rows, with the validator's error naming the first bad edge."""
     order = BaseOrder([1, 2, 3])
     undeclared = LinOrderedGraph(order, frozenset({frozenset({1, 9})}))
-    with pytest.raises(DomainError, match="^element 9 is not in the base order$"):
-        encode_graph(undeclared)
     odd = LinOrderedGraph(order, frozenset({frozenset({1, 2, 3}), frozenset({3}),
                                             frozenset({1, 2})}))
-    enc = encode_graph(odd)
-    assert enc.members == (0b1, 0b10, 0b100, 0b111, 0b11, 0b100)
-    assert enc.edge_order == (frozenset({1, 2, 3}), frozenset({1, 2}), frozenset({3}))
-    with pytest.raises(StructureError, match=r"^edge \{1, 2, 3\} must have exactly 2 vertices$"):
-        phi_graph(odd, parse("x1 x2 x3 x4 x5 x6", A0))
-    with pytest.raises(StructureError, match=r"^edge vertex 9 not declared$"):
-        next(embedding_ranks(undeclared, undeclared))
+    single = LinOrderedGraph(order, frozenset({frozenset({2}), frozenset({1, 3})}))
+    for g, message in ((undeclared, r"^edge vertex 9 not declared$"),
+                       (odd, r"^edge \{1, 2, 3\} must have exactly 2 vertices$"),
+                       (single, r"^edge \{2\} must have exactly 2 vertices$")):
+        with pytest.raises(StructureError, match=message):
+            encode_graph(g)
+        with pytest.raises(StructureError, match=message):
+            phi_graph(g, parse("x1 x2 x3 x4 x5 x6", A0))
+        with pytest.raises(StructureError, match=message):
+            next(embedding_ranks(g, g))
 
 
 def test_phi_worked_example():

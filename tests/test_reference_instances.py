@@ -227,27 +227,31 @@ def test_hales_jewett_over_two_letters_is_k(k):
     for n, holds in ((k - 1, False), (k, True)):
         inst = hales_jewett(A01, n, k)
         generic, direct = decide_arrow(inst), decide_gr(A01, n, 1, 0, k)
-        assert generic.holds is direct.holds is holds, n
+        assert generic.holds is holds, n
+        assert (generic.holds, generic.bad_coloring, generic.counts) == (
+            direct.holds, direct.bad_coloring, direct.counts), n
         assert generic.counts["hom_AC"] == 2**n and generic.counts["hom_BC"] == 3**n - 2**n
         if holds:
-            assert generic.counts == direct.counts
             assert generic.counts["colorings_checked"] == k ** 2**n
         else:
-            for bad in (generic.bad_coloring, direct.bad_coloring):
-                assert not check_coloring(inst, bad)[0].holds
+            assert not check_coloring(inst, generic.bad_coloring)[0].holds
 
 
 def test_three_letters_three_coordinates_have_a_line_free_two_coloring():
     """HJ(3,2) = 4 (Hindman-Tressler, Ars Combin. 2014), so some 2-coloring
     of {0,1,2}^3 has no monochromatic line.  Past the default budget,
-    decide_arrow finds the first one in Gray order; check_coloring and a
-    plain loop over the 37 lines, each word over {0,1,2,x} with an x,
-    confirm it."""
+    decide_arrow and decide_gr find the same first one in itertools.product
+    order; check_coloring and a plain loop over the 37 lines, each word
+    over {0,1,2,x} with an x, confirm it."""
     inst = hales_jewett(A012, 3, 2)
-    verdict = decide_arrow(inst, Budget(max_colorings=2**27))
+    budget = Budget(max_colorings=2**27)
+    verdict = decide_arrow(inst, budget)
     assert not verdict.holds
     assert verdict.counts == {"hom_AC": 27, "hom_BC": 37, "hom_AB": 3,
-                              "colorings_checked": 17_553_241}
+                              "colorings_checked": 22_102_796}
+    direct = decide_gr(A012, 3, 1, 0, 2, budget)
+    assert (direct.holds, direct.bad_coloring, direct.counts) == (
+        verdict.holds, verdict.bad_coloring, verdict.counts)
     recheck, detail = check_coloring(inst, verdict.bad_coloring)
     assert not recheck.holds and all(d["colors_met"] == [1, 2] for d in detail)
     points = ["".join(w.text().split()) for w in enumerate_words(A012, 3, 0, 27)]
