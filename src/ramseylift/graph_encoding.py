@@ -39,15 +39,11 @@ class GraphEncoding(SE.SubsetEncoding):
 def encode_graph(g: LinOrderedGraph) -> GraphEncoding:
     """Fix the canonical edge order and the encoded object size n+m.
 
-    The edges come off the graph's adjacency rows (``relation_rows``) by
-    lower rank, then upper rank, which is clex: in an edge's lex key rank 0
-    is the highest bit, and clex is decreasing lex key.  So the order does
-    not depend on how the edge set iterates.  A raw graph with an edge of
-    other than two declared vertices raises the validator's
-    :class:`StructureError`, naming the first bad edge."""
-    rows = g.relation_rows[len(g.order):]
-    members = [1 << r for r in range(len(rows))]
-    for r, row in enumerate(rows):
+    The edges come off the graph's adjacency rows (``rows``) by lower rank,
+    then upper rank, which is clex: in an edge's lex key rank 0 is the
+    highest bit, and clex is decreasing lex key."""
+    members = [1 << r for r in range(len(g.rows))]
+    for r, row in enumerate(g.rows):
         later = row >> r + 1 << r + 1
         while later:
             low = later & -later
@@ -75,8 +71,7 @@ def graph_on_subsets(n: int, subsets) -> LinOrderedGraph:
     """The graph on the given subsets of {1..n}: adjacency is nonempty
     intersection, vertex order is clex."""
     elems, rows = SE.on_subsets(n, subsets, GraphEncoding.related)
-    return LinOrderedGraph.build(elems, [(a, elems[q]) for r, a in enumerate(elems)
-                                         for q in range(r + 1, len(elems)) if rows[r] >> q & 1])
+    return LinOrderedGraph.from_rows(elems, [row & ~(1 << r) for r, row in enumerate(rows)])
 
 
 def powerset_graph(n: int) -> LinOrderedGraph:

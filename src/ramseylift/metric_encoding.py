@@ -107,7 +107,7 @@ def encode_metric(space: LinOrderedMetricSpace) -> LinOrderedPoset:
     within = [{g: sum(1 << z for z, v in enumerate(row) if v <= g) for g in gaps} for row in dist]
     up = [1 << (i * n + r) | sum(within[r][spect[j] - spect[i]] << j * n for j in range(i, k + 1))
           for i in range(k + 1) for r in range(n)]
-    return LinOrderedPoset.from_up_rows(
+    return LinOrderedPoset.from_rows(
         [(x, i) for i in range(k + 1) for x in space.universe], up)
 
 
@@ -126,7 +126,7 @@ def _dist_tuples_raw(poset: LinOrderedPoset, spect: tuple[Fraction, ...], a, b) 
     if len(a) != k or len(b) != k:
         raise DomainError(f"tuples must have length {k}")
     rank = poset.order.rank
-    return spect[_shift(poset.up, tuple(map(rank, a)), tuple(map(rank, b)))]
+    return spect[_shift(poset.rows, tuple(map(rank, a)), tuple(map(rank, b)))]
 
 
 def dist_metric_tuples(poset: LinOrderedPoset, spectrum, a: tuple, b: tuple) -> Fraction:
@@ -155,7 +155,7 @@ def decode_poset_metric(
     pts = _tuple_ranks(poset, len(spect) - 1, max_points, "lex")
     rows = [[spect[0]] * len(pts) for _ in pts]
     for (r, s), (q, t) in itertools.combinations(enumerate(pts), 2):
-        rows[r][q] = rows[q][r] = spect[_shift(poset.up, s, t)]
+        rows[r][q] = rows[q][r] = spect[_shift(poset.rows, s, t)]
     elems = poset.universe
     space = LinOrderedMetricSpace(BaseOrder([tuple(map(elems.__getitem__, t)) for t in pts]),
                                   tuple(map(tuple, rows)), spect)
@@ -174,7 +174,7 @@ def phi_metric(space: LinOrderedMetricSpace, poset: LinOrderedPoset, u: Embeddin
         raise DomainError("phi requires an embedding of the space's level poset into the target poset")
     if not _is_tight(space.scaled[1]):
         raise SpectrumError("phi requires a tight spectrum")
-    k, n, to, up = len(space.spectrum) - 1, len(space.universe), u.ranks, poset.up
+    k, n, to, up = len(space.spectrum) - 1, len(space.universe), u.ranks, poset.rows
     images = [tuple([to[i * n + r] for i in range(k)]) for r in range(n)]
     _check_tuple_images(space, images, "lex", lambda a, b: _shift(up, a, b))
     elems = poset.universe

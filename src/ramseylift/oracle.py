@@ -380,29 +380,26 @@ def decide_gr(
     whole block.  ``colorings_checked`` counts the colorings decided,
     skipped blocks included: k^|W^n_ell| when the arrow holds, else the
     first bad coloring's rank plus one, as in :func:`decide_arrow`.  Errors
-    out when no m-parameter word of length n exists.
+    out when no m-parameter word of length n exists.  W^n_ell is enumerated
+    under the hom budget before the colorings budget is checked on its
+    size, so an oversized W^n_ell gets the enumeration's prompt refusal.
     """
     if k < 2:
         raise DomainError(f"number of colors must be at least 2, got {k}")
     if m > n:
         raise DomainError(f"no word with {m} parameters and length {n} exists")
-    n_small = W.count_words(alphabet, n, ell)
-    if n_small > budget.max_hom:
-        raise BudgetError(
-            f"|W^{n}_{ell}| = {format_count(n_small)} exceeds the hom budget {budget.max_hom}"
-        )
-    total = k**n_small
+    small = list(W._word_symbols(alphabet, n, ell, budget.max_hom))
+    size = len(small)
+    total = k**size
     if total > budget.max_colorings:
         raise BudgetError(
-            f"deciding needs k^|W^{n}_{ell}| = {format_count(k)}^{n_small} = "
+            f"deciding needs k^|W^{n}_{ell}| = {format_count(k)}^{size} = "
             f"{format_count(total)} colorings, above the budget of {budget.max_colorings}"
         )
-    small = list(W._word_symbols(alphabet, n, ell, budget.max_hom))
     mids = list(W._word_symbols(alphabet, n, m, budget.max_hom))
     plugs = list(W._word_symbols(alphabet, m, ell, budget.max_hom))
     bit = {w: 1 << i for i, w in enumerate(small)}
-    counts = {"hom_AC": len(small), "hom_BC": len(mids), "hom_AB": len(plugs)}
-    size = len(small)
+    counts = {"hom_AC": size, "hom_BC": len(mids), "hom_AB": len(plugs)}
     closing = [[] for _ in range(size)]  # closing[i]: the masks whose highest bit is i
     for u in mids:
         mask = 0

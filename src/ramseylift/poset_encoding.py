@@ -56,7 +56,7 @@ def witness_poset(
 def poset_on_subsets(n: int, subsets) -> LinOrderedPoset:
     """The poset of given subsets of {1..n} under reverse inclusion,
     linearly ordered by clex."""
-    return LinOrderedPoset.from_up_rows(*SE.on_subsets(n, subsets, PosetEncoding.related))
+    return LinOrderedPoset.from_rows(*SE.on_subsets(n, subsets, PosetEncoding.related))
 
 
 def powerset_poset(n: int) -> LinOrderedPoset:

@@ -4,9 +4,10 @@ All four kinds carry an explicit linear order on their universe (a
 :class:`~ramseylift.orders.BaseOrder`).  Elements and exact rational
 distances appear where a structure is built, in JSON and text output and
 in error messages; no floating point is used anywhere.  Validation, balls,
-downsets and embeddings work on ranks: a poset stores its order as up rows
-(``up[r]`` has bit s set when rank r is below-or-equal rank s), from which
-``leq``, ``below`` and ``strict_pairs`` are read; every relation is a tuple
+downsets and embeddings work on ranks: graphs and posets share one row
+class, whose ``rows[r]`` has bit s set when rank r is adjacent to rank s
+(graph) or below-or-equal rank s (poset), and from which ``strict_pairs``
+(and a poset's ``leq`` and ``below``) are read; every relation is a tuple
 of rank bitmasks, one row per value and rank (``relation_rows``);
 distances are integers over their common denominator (``scaled``), balls
 rank bitmasks (``ball_masks``), an embedding the tuple of its target
@@ -16,14 +17,14 @@ encoder remembers its last four structures (:func:`_memo_recent`).  A
 :class:`Embedding` is a named tuple that, like a ball, equals the plain
 tuple ``(source, target, ranks)``.
 
-Construction through the ``build`` classmethods, ``from_up_rows`` or
+Construction through the ``build`` classmethods, ``from_rows`` or
 :func:`from_json` validates every axiom; the raw dataclass constructors
 are unchecked so that tests can exercise the validators.  Validation walks
-ranks (and a graph's edges) in a fixed order, so the witness an error names
-does not depend on hashing.  On spaces of twelve points or more the
-(strong) triangle inequality is first checked on threshold masks, in
-O(N^2) mask operations per attained distance; the plain O(N^3) loop runs
-on smaller spaces and, to name the witness, when that check fails.
+ranks (and ``build`` a graph's edges) in a fixed order, so the witness an
+error names does not depend on hashing.  On spaces of twelve points or
+more the (strong) triangle inequality is first checked on threshold masks,
+in O(N^2) mask operations per attained distance; the plain O(N^3) loop
+runs on smaller spaces and, to name the witness, when that check fails.
 """
 
 from __future__ import annotations
@@ -113,47 +114,56 @@ def checked_spectrum(values) -> tuple[Fraction, ...]:
 
 
 @dataclass(frozen=True)
-class LinOrderedGraph:
-    order: BaseOrder
-    edges: frozenset[frozenset]
+class _Relation:
+    """A finite structure with one binary relation on a linearly ordered
+    universe, held as rank rows: bit s of ``rows[r]`` is set when rank r is
+    adjacent to rank s (graph) or below-or-equal to it (poset).  The two
+    kinds differ only in ``kind``, ``build`` and their axioms, so the
+    generated ``__eq__`` tells a graph from a poset."""
 
-    kind = "graph"
-    relation_values = (False, True)  # whether ranks r and s are adjacent
+    order: BaseOrder
+    rows: tuple[int, ...]
+
+    relation_values = (False, True)  # whether rank r bears the relation to rank s
 
     @classmethod
-    def build(cls, vertices: Iterable, edges: Iterable[Iterable]) -> "LinOrderedGraph":
-        order = BaseOrder(vertices)
-        g = cls(order, frozenset(frozenset(e) for e in edges))
-        check_structure(g)
-        return g
+    def from_rows(cls, vertices: Iterable, rows: Iterable[int]):
+        """The structure whose rank r bears the relation to rank s when bit
+        s of ``rows[r]`` is set, validated."""
+        s = cls(BaseOrder(vertices), tuple(rows))
+        check_structure(s)
+        return s
 
     @property
     def universe(self) -> tuple:
         return self.order.elements
 
+    def strict_pairs(self) -> list[tuple]:
+        """The related pairs (a, b) with a before b, in rank order: a graph's
+        edges, or a poset's pairs with a strictly below b."""
+        elems = self.universe
+        return [(elems[r], elems[s]) for r, row in enumerate(self.rows)
+                for s in _bits(row >> r + 1 << r + 1)]
+
     @cached_property
     def relation_rows(self) -> tuple[int, ...]:
-        """See :func:`embedding_ranks`.  A raw graph with an edge of other
-        than two declared vertices raises the validator's error."""
-        rank, rows = self.order.rank_map, [0] * len(self.order)
-        try:
-            for x, y in self.edges:
-                rows[rank[x]] |= 1 << rank[y]
-                rows[rank[y]] |= 1 << rank[x]
-        except (ValueError, KeyError):
-            _validate_edges(self)
-            raise
-        full = (1 << len(rows)) - 1
-        return tuple([full ^ row for row in rows] + rows)
+        """See :func:`embedding_ranks`: the complements, then the rows."""
+        full = (1 << len(self.rows)) - 1
+        return tuple([full ^ row for row in self.rows]) + self.rows
 
 
-@dataclass(frozen=True)
-class LinOrderedPoset:
-    order: BaseOrder
-    up: tuple[int, ...]  # bit s of up[r] is set when rank r is below-or-equal rank s
+class LinOrderedGraph(_Relation):
+    kind = "graph"
 
+    @classmethod
+    def build(cls, vertices: Iterable, edges: Iterable[Iterable]) -> "LinOrderedGraph":
+        """Validated: rows filled from two-vertex edges are symmetric and loop-free."""
+        order = BaseOrder(vertices)
+        return cls(order, _validate_edges(order.rank_map, edges))
+
+
+class LinOrderedPoset(_Relation):
     kind = "poset"
-    relation_values = (False, True)  # whether r <= s
 
     @classmethod
     def build(cls, vertices: Iterable, strict_pairs: Iterable[tuple]) -> "LinOrderedPoset":
@@ -165,41 +175,18 @@ class LinOrderedPoset:
             except KeyError:
                 raise StructureError(
                     f"relation pair ({a!r},{b!r}) uses undeclared elements") from None
-        return cls.from_up_rows(order.elements, up)
-
-    @classmethod
-    def from_up_rows(cls, vertices: Iterable, up: Iterable[int]) -> "LinOrderedPoset":
-        """The poset whose rank r lies below-or-equal rank s when bit s of
-        ``up[r]`` is set (reflexive bits included), validated."""
-        p = cls(BaseOrder(vertices), tuple(up))
-        check_structure(p)
-        return p
-
-    @property
-    def universe(self) -> tuple:
-        return self.order.elements
+        return cls.from_rows(order.elements, up)
 
     @property
     def leq(self) -> frozenset[tuple]:
         """All pairs (a, b) with a below-or-equal b, reflexive pairs included."""
         elems = self.universe
-        return frozenset((elems[r], elems[s]) for r, row in enumerate(self.up) for s in _bits(row))
+        return frozenset((elems[r], elems[s])
+                         for r, row in enumerate(self.rows) for s in _bits(row))
 
     def below(self, a, b) -> bool:
         rank = self.order.rank_map
-        return a in rank and b in rank and bool(self.up[rank[a]] >> rank[b] & 1)
-
-    def strict_pairs(self) -> list[tuple]:
-        """The pairs (a, b) with a strictly below b, in rank order."""
-        elems = self.universe
-        return [(elems[r], elems[s]) for r, row in enumerate(self.up) for s in _bits(row)
-                if s != r]
-
-    @cached_property
-    def relation_rows(self) -> tuple[int, ...]:
-        """See :func:`embedding_ranks`; rank s is related to r when r <= s."""
-        full = (1 << len(self.up)) - 1
-        return tuple([full ^ row for row in self.up]) + self.up
+        return a in rank and b in rank and bool(self.rows[rank[a]] >> rank[b] & 1)
 
 
 def _dist_matrix(order: BaseOrder, dist: Mapping) -> tuple[tuple[Fraction, ...], ...]:
@@ -363,7 +350,7 @@ def _validate_convexity(space: ConvUltrametricSpace) -> None:
 
 def _validate_up_rows(p: LinOrderedPoset) -> None:
     """Check the axioms on the up rows, clause by clause, each in rank order."""
-    elems, up = p.universe, p.up
+    elems, up = p.universe, p.rows
     for r, row in enumerate(up):
         if not row >> r & 1:
             raise StructureError(f"relation not reflexive at {elems[r]!r}")
@@ -387,27 +374,46 @@ def _validate_up_rows(p: LinOrderedPoset) -> None:
                 f"linear order does not extend the partial order on ({elems[r]!r},{b!r})")
 
 
-def _sorted_edges(rank: dict, edges) -> list[list]:
-    """The edges as vertex lists, in rank order; undeclared vertices come
-    after the declared ones, by their text."""
+def _validate_adjacency(g: LinOrderedGraph) -> None:
+    """No vertex is adjacent to itself and adjacency is symmetric; the first
+    witness in rank order is named."""
+    elems, rows = g.universe, g.rows
+    cols = [0] * len(rows)  # cols[s]: the ranks whose rows hold s
+    for r, row in enumerate(rows):
+        if row >> r & 1:
+            raise StructureError(f"vertex {elems[r]!r} adjacent to itself")
+        for s in _bits(row):
+            cols[s] |= 1 << r
+    for r, (row, col) in enumerate(zip(rows, cols)):
+        if row != col:  # the lowest differing rank lies above r, else an earlier r differs
+            s = ((row ^ col) & -(row ^ col)).bit_length() - 1
+            raise StructureError(f"adjacency not symmetric on ({elems[r]!r},{elems[s]!r})")
+
+
+def _validate_edges(rank: Mapping, edges: Iterable[Iterable]) -> tuple[int, ...]:
+    """The symmetric adjacency rows of an edge list whose every edge has
+    exactly two declared vertices.  The first bad edge is named, in rank
+    order; undeclared vertices come after the declared ones, by their text."""
+    rows, bad = [0] * len(rank), []
+    for e in map(frozenset, edges):
+        if len(e) == 2 and rank.keys() >= e:
+            r, s = map(rank.__getitem__, e)
+            rows[r] |= 1 << s
+            rows[s] |= 1 << r
+        else:
+            bad.append(e)
+
     def key(v):
         return rank.get(v, len(rank)), repr(v)
 
-    return sorted((sorted(e, key=key) for e in edges), key=lambda e: list(map(key, e)))
-
-
-def _validate_edges(g: LinOrderedGraph) -> None:
-    """Every edge has exactly two declared vertices; the first bad edge in
-    :func:`_sorted_edges` order is named."""
-    rank = g.order.rank_map
-    bad = [e for e in g.edges if len(e) != 2 or not rank.keys() >= e]
-    for e in _sorted_edges(rank, bad):
+    for e in sorted((sorted(e, key=key) for e in bad), key=lambda e: list(map(key, e))):
         if len(e) != 2:
             text = "{" + ", ".join(map(repr, e)) + "}" if e else "set()"
             raise StructureError(f"edge {text} must have exactly 2 vertices")
         for v in e:
             if v not in rank:
                 raise StructureError(f"edge vertex {v!r} not declared")
+    return tuple(rows)
 
 
 def check_structure(s) -> None:
@@ -417,10 +423,11 @@ def check_structure(s) -> None:
     the clauses run in rank order, so the witness does not depend on hashing.
     """
     kind = getattr(s, "kind", None)
-    if kind == "graph":
-        _validate_edges(s)
-    elif kind == "poset":
-        _validate_up_rows(s)
+    if kind in ("graph", "poset"):
+        n = len(s.order)
+        if len(s.rows) != n or any(row >> n for row in s.rows):
+            raise StructureError(f"relation rows must be {n} masks of {n} bits")
+        (_validate_adjacency if kind == "graph" else _validate_up_rows)(s)
     elif kind in ("ultrametric", "metric"):
         try:
             checked_spectrum(s.spectrum)
@@ -439,9 +446,9 @@ def validate_structure(s) -> dict:
     check_structure(s)
     report = {"kind": s.kind, "size": len(s.order)}
     if s.kind == "graph":
-        report["edges"] = len(s.edges)
+        report["edges"] = sum(row.bit_count() for row in s.rows) // 2
     elif s.kind == "poset":
-        report["relation_pairs"] = sum(row.bit_count() for row in s.up)
+        report["relation_pairs"] = sum(row.bit_count() for row in s.rows)
     else:
         report["spectrum"] = [format_rational(v) for v in s.spectrum]
         report["attained"] = [format_rational(v) for v in sorted(s.attained())]
@@ -612,13 +619,11 @@ def induced_substructure(s, subset: Iterable):
     for v in keep:
         if v not in s.order:
             raise DomainError(f"element {v!r} not in structure")
-    vertices = [v for v in s.universe if v in keep]
-    if s.kind == "graph":
-        return LinOrderedGraph.build(vertices, [e for e in s.edges if e <= keep])
     kept = [r for r, v in enumerate(s.universe) if v in keep]
-    if s.kind == "poset":
-        return LinOrderedPoset.from_up_rows(vertices, [
-            sum(1 << j for j, q in enumerate(kept) if s.up[r] >> q & 1) for r in kept])
+    vertices = [s.universe[r] for r in kept]
+    if s.kind in ("graph", "poset"):
+        return type(s).from_rows(vertices, [
+            sum(1 << j for j, q in enumerate(kept) if s.rows[r] >> q & 1) for r in kept])
     sub = type(s)(BaseOrder(vertices),
                   tuple(tuple([s.dmatrix[r][q] for q in kept]) for r in kept), s.spectrum)
     check_structure(sub)
@@ -638,7 +643,7 @@ def downset_masks(p: LinOrderedPoset) -> list[int]:
     rank r are appended after all with a lower top, in the order of the
     downsets they extend, so the list comes out increasing."""
     down = [0] * len(p.universe)  # down[r]: the ranks below rank r
-    for r, row in enumerate(p.up):
+    for r, row in enumerate(p.rows):
         for q in _bits(row):
             down[q] |= 1 << r
     found = [0]
@@ -725,13 +730,8 @@ def _check_tuple_images(space, images: list, kind: str, level) -> None:
 def to_json(s) -> dict:
     """Canonical JSON form; round-trips bit-exactly through :func:`from_json`."""
     out = {"kind": s.kind, "universe": list(s.universe)}
-    rank = s.order.rank
-    if s.kind == "graph":
-        out["edges"] = sorted(
-            (sorted(e, key=rank) for e in s.edges), key=lambda e: (rank(e[0]), rank(e[1]))
-        )
-    elif s.kind == "poset":
-        out["leq"] = [[a, b] for a, b in s.strict_pairs()]
+    if s.kind in ("graph", "poset"):
+        out["edges" if s.kind == "graph" else "leq"] = [[a, b] for a, b in s.strict_pairs()]
     else:
         out["dist"] = [
             [a, b, format_rational(s.d(a, b))]

@@ -57,7 +57,7 @@ def _encode(space: ConvUltrametricSpace):
             )
     up = [sum(1 << q for q, (j, m2) in enumerate(keys) if i <= j and not m & ~m2)
           for i, m in keys]
-    poset = LinOrderedPoset.from_up_rows(elems, up)
+    poset = LinOrderedPoset.from_rows(elems, up)
     return BallPoset(space, poset), {key: p for p, key in enumerate(keys)}, masks
 
 

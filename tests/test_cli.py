@@ -531,14 +531,15 @@ def test_long_word_premise_is_refused_by_its_budget(files, capsys):
 
 
 def test_word_count_refusal_is_prompt_at_a_million_letters(capsys):
-    """|W^n_ell| is a closed form in n, not a loop over the n positions."""
+    """W^n_ell is enumerated under the hom budget, whose lower bounds refuse
+    before any count in n is taken."""
     start = time.perf_counter()
     code, error = _error(capsys, "arrow", "gr", "--alphabet", "0", "-n", "1000000", "-m", "2",
                          "--ell", "1", "-k", "2")
     assert time.perf_counter() - start < 5
     assert code == 2
-    assert error == {"type": "BudgetError", "message":
-                     "|W^1000000_1| = <301030 digits> exceeds the hom budget 10000"}
+    assert error == {"type": "BudgetError", "message": "enumeration of W^1000000_1 exceeded "
+                     "limit 10000: at least 10001 words exist"}
 
 
 def test_word_enumerate_refusal_is_prompt_at_ten_million_letters(capsys):
@@ -566,15 +567,15 @@ def test_word_enumerate_refusal_is_prompt_when_m_is_close_to_n(capsys):
 
 
 def test_arrow_gr_refusal_is_prompt_when_ell_is_close_to_n(capsys):
-    """With n - ell = 1 the exact |W^n_ell| that the refusal prints is a sum
-    over one letter-or-repeat position, not ell+1 big powers."""
+    """With n - ell = 1 the partition bound C(n, ell-1) refuses W^n_ell
+    before the exact count's ell+1 big powers."""
     start = time.perf_counter()
     code, error = _error(capsys, "arrow", "gr", "--alphabet", "0", "-n", "5000", "-m", "4999",
                          "--ell", "4999", "-k", "2")
     assert time.perf_counter() - start < 5
     assert code == 2
-    assert error == {"type": "BudgetError",
-                     "message": "|W^5000_4999| = 12502500 exceeds the hom budget 10000"}
+    assert error == {"type": "BudgetError", "message": "enumeration of W^5000_4999 exceeded "
+                     "limit 10000: at least 10001 words exist"}
 
 
 def test_negative_coloring_budget_is_a_domain_error(capsys):
@@ -612,8 +613,8 @@ def test_refusals_name_huge_counts_by_their_digits(files, capsys):
     code, error = _error(capsys, "arrow", "gr", "--alphabet", "0", "-n", "20000", "-m", "2",
                          "--ell", "1", "-k", "2")
     assert code == 2
-    assert error == {"type": "BudgetError", "message":
-                     "|W^20000_1| = <6021 digits> exceeds the hom budget 10000"}
+    assert error == {"type": "BudgetError", "message": "enumeration of W^20000_1 exceeded "
+                     "limit 10000: at least 10001 words exist"}
     a, b, c = files("a.json", POINT), files("b.json", CHAIN2), files("c.json", CHAIN3)
     code, error = _error(capsys, "arrow", "decide", "--kind", "poset", "--A", a, "--B", b,
                          "--C", c, "-k", "1" + "0" * 1500)

@@ -17,6 +17,7 @@ from ramseylift.structures import (
     LinOrderedPoset,
     balls,
     check_embedding,
+    check_structure,
     compose_embeddings,
     downsets,
     embedding_ranks,
@@ -60,10 +61,33 @@ def test_poset_transitivity_checked():
 
 
 def test_graph_edge_shape_checked():
+    """``build`` names the first bad edge in rank order, undeclared
+    vertices after the declared ones."""
     with pytest.raises(StructureError):
         LinOrderedGraph.build([1, 2], [(1, 1)])
     with pytest.raises(StructureError, match="not declared"):
         LinOrderedGraph.build([1, 2], [(1, 3)])
+    for edges, message in (([{1, 9}], r"^edge vertex 9 not declared$"),
+                           ([{1, 2, 3}, {3}, {1, 2}],
+                            r"^edge \{1, 2, 3\} must have exactly 2 vertices$"),
+                           ([{2}, {1, 3}], r"^edge \{2\} must have exactly 2 vertices$")):
+        with pytest.raises(StructureError, match=message):
+            LinOrderedGraph.build([1, 2, 3], edges)
+
+
+def test_graph_rows_checked():
+    """Raw adjacency rows: a self-loop and a one-way adjacency are each
+    named at their first witness in rank order."""
+    order = BaseOrder([1, 2, 3])
+    for rows, message in (((0, 0b110, 0b100), r"^vertex 2 adjacent to itself$"),
+                          ((0b100, 0, 0b010), r"^adjacency not symmetric on \(1,3\)$"),
+                          ((0, 0b001, 0b010), r"^adjacency not symmetric on \(1,2\)$"),
+                          ((0b10, 0b01), r"^relation rows must be 3 masks of 3 bits$"),
+                          ((0, 0, 0b1000), r"^relation rows must be 3 masks of 3 bits$")):
+        with pytest.raises(StructureError, match=message):
+            check_structure(LinOrderedGraph(order, rows))
+        with pytest.raises(StructureError, match=message):
+            LinOrderedGraph.from_rows(order.elements, rows)
 
 
 def test_metric_triangle_checked():
@@ -170,7 +194,7 @@ def test_walker_matches_brute_force_on_independent_pairs(selector):
     for trial in range(60):
         tgt = random_structure(rng, selector)
         if selector == "graph" and trial % 2:
-            tgt = LinOrderedGraph.build(tgt.universe[::-1], map(tuple, tgt.edges))
+            tgt = LinOrderedGraph.build(tgt.universe[::-1], to_json(tgt)["edges"])
         if rng.random() < 0.5:
             src = random_structure(rng, selector)
         else:
@@ -265,15 +289,21 @@ def test_embedding_is_an_immutable_named_tuple():
     assert compose_embeddings(g, identity_embedding(sub)) == g
 
 
+def _edge_set(g) -> set[frozenset]:
+    """The graph's edges as vertex sets, read off its JSON form."""
+    return {frozenset(e) for e in to_json(g)["edges"]}
+
+
 def _fresh_pair_offsets(source, target):
     """Per pair of source ranks p < i, the offset in target.relation_rows of
     the value p bears to i, read from the edges, the order or the distances,
     or None when the target lacks that value."""
     uni, there, n = source.universe, target.relation_values, len(target.universe)
+    edges = _edge_set(source) if source.kind == "graph" else None
 
     def value(a, b):
         if source.kind == "graph":
-            return frozenset((a, b)) in source.edges
+            return frozenset((a, b)) in edges
         return source.below(a, b) if source.kind == "poset" else source.d(a, b)
 
     return [[there.index(x) * n if x in there else None
@@ -346,9 +376,10 @@ def _pairwise_clause(source, target, m):
     mismatch names its clause and pair."""
     uni = source.universe
     if source.kind == "graph":
+        source_edges, target_edges = _edge_set(source), _edge_set(target)
         for a, b in itertools.combinations(uni, 2):
-            here = frozenset((a, b)) in source.edges
-            there = frozenset((m[a], m[b])) in target.edges
+            here = frozenset((a, b)) in source_edges
+            there = frozenset((m[a], m[b])) in target_edges
             if here != there:
                 return f"adjacency not {'preserved' if here else 'reflected'} on ({a!r},{b!r})"
     elif source.kind == "poset":

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 
@@ -186,6 +187,14 @@ def test_count_words_closed_form_matches_the_recurrence():
         for n in range(13):
             for m in range(9):
                 assert count_words(alphabet, n, m) == _recurrence_count(alphabet, n, m)
+
+
+def test_count_words_is_prompt_when_m_is_close_to_n():
+    """With n - m = 1 the count is a sum over one letter-or-repeat position,
+    1 + 2 + ... + 5000 here, not m+1 big powers."""
+    start = time.perf_counter()
+    assert count_words(A0, 5000, 4999) == 12502500
+    assert time.perf_counter() - start < 5
 
 
 @pytest.mark.parametrize("alphabet", [A0, A01])
