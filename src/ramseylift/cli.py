@@ -377,8 +377,8 @@ def cmd_spectrum_tighten(args, rep):
 
 
 def _arrow_instance(args):
-    cat = StructureCategory(args.kind)
-    return ArrowInstance(cat, _structure(args.A), _structure(args.B), _structure(args.C), args.k)
+    A, B, C = (_kind_structure(path, args.kind) for path in (args.A, args.B, args.C))
+    return ArrowInstance(StructureCategory(args.kind), A, B, C, args.k)
 
 
 def _verdict_lines(verdict) -> list[str]:

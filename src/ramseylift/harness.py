@@ -551,11 +551,13 @@ def transfer_demo(
     phi_index = [index_in_hom_E_GC(ranks_in_G_C(E, impl.phi(E, base_cat.morphism(FE, C, u))))
                  for u in table.hom_ac]
     pulled = [colors[i] for i in phi_index]
-    mono_index, mono_color = table.first_mono(pulled)
+    met = table.colors_met(pulled)
+    mono_index = next((wi for wi, seen in enumerate(met) if len(seen) <= 1), None)
     if mono_index is None:
         raise VerificationError(
             "no monochromatic base morphism exists although the premise arrow holds"
         )
+    mono_color = met[mono_index][0] if met[mono_index] else 1
 
     w_star = table.hom_bc[mono_index]
     u_star = base_cat.morphism(FD, C, w_star)

@@ -22,7 +22,6 @@ from fractions import Fraction
 from .errors import BudgetError, DomainError, SpectrumError, VerificationError
 from .orders import BaseOrder
 from .structures import (
-    DEFAULT_MAX_POINTS,
     Embedding,
     LinOrderedMetricSpace,
     LinOrderedPoset,
@@ -121,38 +120,14 @@ def _shift(up: tuple[int, ...], a: tuple, b: tuple) -> int:
     return k
 
 
-def _dist_tuples_raw(poset: LinOrderedPoset, spect: tuple[Fraction, ...], a, b) -> Fraction:
-    k = len(spect) - 1
-    if len(a) != k or len(b) != k:
-        raise DomainError(f"tuples must have length {k}")
-    rank = poset.order.rank
-    return spect[_shift(poset.rows, tuple(map(rank, a)), tuple(map(rank, b)))]
-
-
-def dist_metric_tuples(poset: LinOrderedPoset, spectrum, a: tuple, b: tuple) -> Fraction:
-    """Distance between two k-tuples over the poset; refuses a non-tight
-    spectrum since the triangle inequality would then be unproven."""
-    spect = checked_spectrum(spectrum)
-    if not _is_tight(spect):
-        raise SpectrumError("tuple distance requires a tight spectrum")
-    for entry in itertools.chain(a, b):
-        if entry not in poset.order:
-            raise DomainError(f"tuple entry {entry!r} is not a poset element")
-    return _dist_tuples_raw(poset, spect, tuple(a), tuple(b))
-
-
-def decode_poset_metric(
-    poset: LinOrderedPoset,
-    spectrum,
-    max_points: int = DEFAULT_MAX_POINTS,
-) -> LinOrderedMetricSpace:
+def decode_poset_metric(poset: LinOrderedPoset, spectrum) -> LinOrderedMetricSpace:
     """The metric tuple space over the poset, on all |A|^k tuples, ordered
     lexicographically.  Validates the metric axioms of the result; refuses
-    non-tight spectra."""
+    non-tight spectra and more than ``DEFAULT_MAX_POINTS`` points."""
     spect = checked_spectrum(spectrum)
     if not _is_tight(spect):
         raise SpectrumError("tuple space requires a tight spectrum")
-    pts = _tuple_ranks(poset, len(spect) - 1, max_points, "lex")
+    pts = _tuple_ranks(poset, len(spect) - 1, "lex")
     rows = [[spect[0]] * len(pts) for _ in pts]
     for (r, s), (q, t) in itertools.combinations(enumerate(pts), 2):
         rows[r][q] = rows[q][r] = spect[_shift(poset.rows, s, t)]

@@ -87,7 +87,7 @@ class StructureCategory:
 
 
 class WordCategory:
-    """Positive integers with m-parameter words of length n as hom(m, n),
+    """Nonnegative integers with m-parameter words of length n as hom(m, n),
     each held as its symbol tuple: w . q substitutes q's tokens for w's
     variables.  ``morphism`` makes the :class:`~ramseylift.words.ParameterWord`
     and ``key`` takes one back."""
@@ -269,16 +269,10 @@ class CompositeTable:
         return {"hom_AC": len(self.hom_ac), "hom_BC": len(self.hom_bc),
                 "hom_AB": len(self.hom_ab), "colorings_checked": colorings_checked}
 
-    def first_mono(self, colors: Sequence[int]):
-        """(candidate index in hom(B,C) order, color) of the first candidate
-        whose composites share one color under ``colors``, a color per
-        morphism of hom(A,C); (None, None) when there is none."""
-        for wi, comps in enumerate(self.comp_sets):
-            met = {colors[i] for i in comps}
-            if len(met) <= 1:
-                color = next(iter(met)) if met else 1
-                return wi, color
-        return None, None
+    def colors_met(self, colors: Sequence[int]) -> list[list[int]]:
+        """Per candidate, in hom(B,C) order, the sorted colors its composites
+        meet under ``colors``, a color per morphism of hom(A,C)."""
+        return [sorted({colors[i] for i in comps}) for comps in self.comp_sets]
 
 
 def _hom_sets(instance: ArrowInstance, budget: Budget) -> tuple[list, list, list]:
@@ -343,9 +337,8 @@ def check_coloring(
         )
     table = CompositeTable(cat, *homs)
     detail, witness, color = [], None, None
-    for w, comps in zip(table.hom_bc, table.comp_sets):
+    for w, met in zip(table.hom_bc, table.colors_met(coloring)):
         candidate = cat.morphism(instance.B, instance.C, w)
-        met = sorted({coloring[i] for i in comps})
         detail.append({"candidate": cat.morphism_json(candidate), "colors_met": met})
         if witness is None and len(met) <= 1:
             witness, color = candidate, met[0] if met else 1

@@ -68,7 +68,9 @@ def subset_key(order: BaseOrder, kind: str, s: Iterable) -> int:
 
 def tuple_key(order: BaseOrder, kind: str, t: Sequence) -> tuple[int, ...]:
     """The entries' ranks, last entry first for ``alex``: ``lex`` decides at
-    the least differing index, ``alex`` at the greatest."""
+    the least differing index, ``alex`` at the greatest.  The decoders and
+    phi order rank tuples without it; it is the reference the tests hold
+    them to."""
     _check_kind(kind, TUPLE_ORDER_KINDS)
     ranks = tuple([order.rank(x) for x in t])
     return ranks if kind == "lex" else ranks[::-1]

@@ -699,10 +699,10 @@ def check_tuple_space(poset: LinOrderedPoset, k: int, max_points: int) -> None:
                           f"above the bound {max_points}")
 
 
-def _tuple_ranks(poset: LinOrderedPoset, k: int, max_points: int, kind: str) -> list:
+def _tuple_ranks(poset: LinOrderedPoset, k: int, kind: str) -> list:
     """All |A|^k k-tuples of ranks of the poset, increasing under the tuple
-    order ``kind``.  Refuses more than ``max_points`` tuples."""
-    check_tuple_space(poset, k, max_points)
+    order ``kind``.  Refuses more than ``DEFAULT_MAX_POINTS`` tuples."""
+    check_tuple_space(poset, k, DEFAULT_MAX_POINTS)
     ranks = itertools.product(range(len(poset.universe)), repeat=k)
     return list(ranks) if kind == "lex" else [t[::-1] for t in ranks]
 

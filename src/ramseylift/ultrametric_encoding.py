@@ -12,14 +12,12 @@ when they disagree at the last index), ordered anti-lexicographically.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, SpectrumError, VerificationError
 from .orders import BaseOrder
 from .structures import (
-    DEFAULT_MAX_POINTS,
     Ball,
     ConvUltrametricSpace,
     Embedding,
@@ -78,31 +76,14 @@ def _level(a: tuple, b: tuple) -> int:
     return j
 
 
-def dist_ultra_tuples(poset: LinOrderedPoset, spectrum, a: tuple, b: tuple) -> Fraction:
-    """Distance between two k-tuples: s_j for the least j with the tuples
-    equal from index j on; s_k when no such j exists."""
-    spect = checked_spectrum(spectrum)
-    k = len(spect) - 1
-    if len(a) != k or len(b) != k:
-        raise DomainError(f"tuples must have length {k}")
-    for entry in itertools.chain(a, b):
-        if entry not in poset.order:
-            raise DomainError(f"tuple entry {entry!r} is not a poset element")
-    return spect[_level(tuple(a), tuple(b))]
-
-
-def decode_poset_ultra(
-    poset: LinOrderedPoset,
-    spectrum,
-    max_points: int = DEFAULT_MAX_POINTS,
-) -> ConvUltrametricSpace:
+def decode_poset_ultra(poset: LinOrderedPoset, spectrum) -> ConvUltrametricSpace:
     """The tuple space over the poset, on all |A|^k tuples.
 
     Validates the ultrametric axioms and ball convexity of the result.
-    Refuses to build more than ``max_points`` points.
+    Refuses to build more than ``DEFAULT_MAX_POINTS`` points.
     """
     spect = checked_spectrum(spectrum)
-    pts = _tuple_ranks(poset, len(spect) - 1, max_points, "alex")
+    pts = _tuple_ranks(poset, len(spect) - 1, "alex")
     elems = poset.universe
     space = ConvUltrametricSpace(
         BaseOrder([tuple(map(elems.__getitem__, t)) for t in pts]),

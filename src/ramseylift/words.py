@@ -107,8 +107,6 @@ def validate(symbols, alphabet: Alphabet, m: int) -> ParameterWord:
     symbols = tuple(symbols)
     if m < 0:
         raise WordError(f"parameter count must be nonnegative, got {m}")
-    if not symbols:
-        raise WordError("a parameter word must have positive length")
     n_letters = len(alphabet)
     introduced = 0
     for pos, tok in enumerate(symbols, start=1):
@@ -164,9 +162,10 @@ def compose(u: ParameterWord, v: ParameterWord) -> ParameterWord:
 
 
 def identity(alphabet: Alphabet, n: int) -> ParameterWord:
-    """The word ``x1 x2 ... xn``, the identity for substitution."""
-    if n < 1:
-        raise DomainError(f"identity length must be positive, got {n}")
+    """The word ``x1 x2 ... xn``, the identity for substitution; the empty
+    word for n = 0."""
+    if n < 0:
+        raise DomainError(f"identity length must be nonnegative, got {n}")
     return ParameterWord(alphabet, n, tuple(range(1, n + 1)))
 
 
@@ -201,9 +200,9 @@ def enumerate_words(alphabet: Alphabet, n: int, m: int, limit: int) -> Iterator[
 
     Candidate order at each position: already-introduced variables in
     increasing index order, then the next fresh variable, then letters in
-    declared order.  The stream is empty when ``m > n`` or ``n == 0``.
-    Raises :class:`BudgetError`, before building any word, when more than
-    ``limit`` words exist.
+    declared order.  The stream is empty when ``m > n``; W^0_0 is the empty
+    word alone.  Raises :class:`BudgetError`, before building any word, when
+    more than ``limit`` words exist.
     """
     return map(partial(ParameterWord, alphabet, m), _word_symbols(alphabet, n, m, limit))
 
@@ -215,7 +214,7 @@ def _word_symbols(alphabet: Alphabet, n: int, m: int, limit: int) -> Iterator[tu
         raise DomainError("n and m must be nonnegative")
     if limit < 0:
         raise DomainError("limit must be nonnegative")
-    if m > n or n == 0:
+    if m > n:
         return
     # Lower bounds refuse before any big power of the exact count is taken:
     # the (|A|+m)^(n-m) words that open with x1 ... xm, by bit length, and
@@ -231,6 +230,9 @@ def _word_symbols(alphabet: Alphabet, n: int, m: int, limit: int) -> Iterator[tu
     if refused:
         raise BudgetError(f"enumeration of W^{n}_{m} exceeded limit {limit}: "
                           f"at least {limit + 1} words exist")
+    if n == 0:
+        yield ()
+        return
     letters = [letter_token(j) for j in range(len(alphabet))]
 
     def options(pos: int, used: int) -> list[int]:

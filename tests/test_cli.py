@@ -1,4 +1,5 @@
 import argparse
+import copy
 import json
 import os
 import subprocess
@@ -8,9 +9,10 @@ import types
 
 import pytest
 
-from ramseylift import cli, words
+from ramseylift import cli, harness, words
 from ramseylift.cli import build_parser, main
-from ramseylift.harness import SELECTORS
+from ramseylift.errors import VerificationError
+from ramseylift.harness import SELECTORS, selector_impl
 from ramseylift.structures import from_json
 
 from util import U16, criterion_8_commands
@@ -179,6 +181,52 @@ def test_pa_check_runs(files, capsys):
     code, out = run_main(capsys, "pa-check", "ultrametric", "--trials", "15", "--seed", "9")
     assert code == 0
     assert "all_passed: true" in out
+
+
+def test_pa_check_exits_1_on_a_failing_trial(files, capsys, monkeypatch):
+    broken = copy.copy(selector_impl("ultrametric"))
+
+    def phi(s, u):
+        raise VerificationError("images collide")
+
+    broken.phi = phi
+    monkeypatch.setitem(harness._SELECTOR_IMPLS, "ultrametric", broken)
+    d, e = files("d.json", U_PAIR), files("e.json", U_POINT)
+    argv = ["pa-check", "ultrametric", "--D", d, "--E", e, "--trials", "2", "--seed", "4"]
+    code, out = run_main(capsys, *argv)
+    assert code == 1
+    assert out.splitlines()[2:] == ["failures: 2", "all_passed: false",
+                                    "  failed 0 (seed 4:0): phi: images collide",
+                                    "  failed 1 (seed 4:1): phi: images collide"]
+    code, out = run_main(capsys, *argv, "--format", "json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["all_passed"] is False and payload["trials"] == 2
+    assert payload["failures"][1] == {
+        "trial": 1, "seed": "4:1", "phi_embedding": False, "witness_valid": False,
+        "equation_exact": False, "error": "phi: images collide"}
+
+
+@pytest.mark.parametrize("kind", ["graph", "poset"])
+def test_empty_structures_transfer_and_pass_pa_check(files, capsys, kind):
+    empty = files("empty.json", {"kind": kind, "universe": [],
+                                 ("edges" if kind == "graph" else "leq"): []})
+    code, out = run_main(capsys, "transfer-demo", kind, "--D", empty, "--E", empty, "-k", "2",
+                         "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verified"] is True and payload["premise"]["object"] == 0
+    code, out = run_main(capsys, "pa-check", kind, "--D", empty, "--E", empty, "--trials", "5")
+    assert code == 0 and "all_passed: true" in out
+
+
+def test_arrow_gr_w00_holds(capsys):
+    code, out = run_main(capsys, "arrow", "gr", "--alphabet", "0", "-n", "0", "-m", "0",
+                         "--ell", "0", "-k", "2", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {
+        "instance": {"alphabet": ["0"], "n": 0, "m": 0, "ell": 0, "k": 2}, "holds": True,
+        "counts": {"hom_AC": 1, "hom_BC": 1, "hom_AB": 1, "colorings_checked": 2}}
 
 
 @pytest.mark.parametrize("trials", ["0", "-1"])
@@ -441,6 +489,15 @@ def test_structures_of_another_kind_are_refused(files, capsys, verb):
     code, error = _error(capsys, *argv)
     assert code == 1
     assert error == {"type": "DomainError", "message": "expected a graph file, got poset"}
+
+
+@pytest.mark.parametrize("verb", ["decide", "check-coloring"])
+def test_arrow_verbs_refuse_files_of_another_kind(files, capsys, verb):
+    g = files("g.json", GRAPH)
+    argv = ["arrow", verb, "--kind", "poset", "--A", g, "--B", g, "--C", g, "-k", "2"]
+    code, error = _error(capsys, *argv + (["--coloring", "1"] if verb == "check-coloring" else []))
+    assert code == 1
+    assert error == {"type": "DomainError", "message": "expected a poset file, got graph"}
 
 
 def test_structure_embeddings_refuses_a_hom_set_over_budget(files, capsys):

@@ -1,9 +1,11 @@
+import copy
 import random
 
 import pytest
 
 from ramseylift import fixtures, harness, oracle
-from ramseylift.errors import BudgetError, DomainError, PremiseError
+from ramseylift import metric_encoding as ME
+from ramseylift.errors import BudgetError, DomainError, PremiseError, VerificationError
 from ramseylift.harness import (
     SELECTORS,
     pa_harness,
@@ -14,6 +16,7 @@ from ramseylift.harness import (
 from ramseylift.oracle import Budget
 from ramseylift.structures import (
     ConvUltrametricSpace,
+    Embedding,
     LinOrderedGraph,
     LinOrderedMetricSpace,
     LinOrderedPoset,
@@ -79,6 +82,54 @@ def test_pa_harness_argument_errors():
         pa_harness("poset", chain3, antichain, trials=1)
     with pytest.raises(DomainError, match="selector"):
         pa_harness("group", trials=1)
+
+
+M_PAIR = LinOrderedMetricSpace.build([1, 2], {(1, 2): 1}, [0, 1])
+
+
+def _raise(exc):
+    def broken(*args):
+        raise exc
+    return broken
+
+
+def _other_point_witness(D, E, f, u):
+    """A valid level-poset embedding, but the witness of the embedding that
+    sends E's one point to the other point of D, not to f's."""
+    return ME.witness_metric(D, E, Embedding(E, D, (1 - f.ranks[0],)))
+
+
+BROKEN_METRIC = [  # (attribute, replacement, phi_ok, witness_ok, error)
+    ("phi", _raise(VerificationError("images collide")), False, False, "phi: images collide"),
+    ("witness", _raise(DomainError("no witness")), True, False, "witness: no witness"),
+    ("witness", _other_point_witness, True, True, "equation: images differ"),
+]
+
+
+@pytest.mark.parametrize("attr, replacement, phi_ok, witness_ok, error", BROKEN_METRIC)
+def test_pa_harness_records_each_failing_trial(monkeypatch, attr, replacement, phi_ok,
+                                               witness_ok, error):
+    broken = copy.copy(harness.selector_impl("metric"))
+    setattr(broken, attr, replacement)
+    monkeypatch.setitem(harness._SELECTOR_IMPLS, "metric", broken)
+    report = pa_harness("metric", M_PAIR, M_POINT, trials=3, seed=7)
+    assert not report.all_passed and len(report.failures) == 3
+    assert [t.to_json() for t in report.failures] == [
+        {"trial": i, "seed": f"7:{i}", "phi_embedding": phi_ok, "witness_valid": witness_ok,
+         "equation_exact": False, "error": error} for i in range(3)]
+    assert report.to_json()["all_passed"] is False
+
+
+@pytest.mark.parametrize("selector", ["graph", "poset"])
+def test_empty_structures_transfer_and_factor(selector):
+    """An empty graph or poset encodes to object 0, whose one morphism of
+    the word category is the empty word."""
+    empty = (LinOrderedGraph if selector == "graph" else LinOrderedPoset).build([], [])
+    report = transfer_demo(selector, empty, empty, 2, seed=5)
+    assert report.verified and report.premise["object"] == 0
+    assert report.premise["counts"] == {"hom_AC": 1, "hom_BC": 1, "hom_AB": 1,
+                                        "colorings_checked": 2}
+    assert pa_harness(selector, empty, empty, trials=10, seed=3).all_passed
 
 
 @pytest.mark.parametrize("trials", [0, -1])

@@ -7,9 +7,8 @@ import pytest
 from ramseylift.errors import SpectrumError, VerificationError
 from ramseylift.harness import graded_spectrum, random_embedded_pair, random_metric
 from ramseylift.metric_encoding import (
-    _dist_tuples_raw,
+    _shift,
     decode_poset_metric,
-    dist_metric_tuples,
     encode_metric,
     is_tight,
     phi_metric,
@@ -93,46 +92,47 @@ def test_encode_metric_accepts_non_tight_spectrum():
 
 
 def test_dist_tuples_examples():
-    poset = encode_metric(M2)
+    space = decode_poset_metric(encode_metric(M2), S012)
     a = (("a", 0), ("a", 1))
     b = (("b", 0), ("b", 1))
-    assert dist_metric_tuples(poset, S012, a, a) == 0
-    assert dist_metric_tuples(poset, S012, a, b) == 2
+    assert space.d(a, a) == 0
+    assert space.d(a, b) == 2
 
 
 def test_dist_tuples_shift_one():
     near = LinOrderedMetricSpace.build(["a", "b"], {("a", "b"): 1}, [0, 1, 2])
-    poset = encode_metric(near)
+    space = decode_poset_metric(encode_metric(near), S012)
     a = (("a", 0), ("a", 1))
     b = (("b", 0), ("b", 1))
-    assert dist_metric_tuples(poset, S012, a, b) == 1
+    assert space.d(a, b) == 1
 
 
 def test_dist_tuples_refuses_non_tight():
     poset = encode_metric(M2)
     with pytest.raises(SpectrumError, match="tight"):
-        dist_metric_tuples(poset, [0, 1, 5], (("a", 0), ("a", 1)), (("b", 0), ("b", 1)))
+        decode_poset_metric(poset, [0, 1, 5])
 
 
 def test_non_tight_spectrum_breaks_triangle_inequality():
+    # decoding refuses a non-tight spectrum, so the shifts are read off rank tuples
     bad = tuple(Fraction(v) for v in (0, 1, 5))
     chain2 = next(p for p in all_posets_on(2) if p.below(1, 2))
-    pts = list(itertools.product(chain2.universe, repeat=2))
+    ranks = list(itertools.product(range(2), repeat=2))
+
+    def d(a, b):
+        return bad[_shift(chain2.rows, a, b)]
+
     violation = None
-    for a, b, c in itertools.product(pts, repeat=3):
-        dab = _dist_tuples_raw(chain2, bad, a, b)
-        dbc = _dist_tuples_raw(chain2, bad, b, c)
-        dac = _dist_tuples_raw(chain2, bad, a, c)
-        if dac > dab + dbc:
+    for a, b, c in itertools.product(ranks, repeat=3):
+        if d(a, c) > d(a, b) + d(b, c):
             violation = (a, b, c)
             break
     assert violation is not None
     # with the tight version of the same spectrum no violation exists
-    good = tuple(Fraction(v) for v in (0, 1, 2))
+    good = decode_poset_metric(chain2, (0, 1, 2))
+    pts = list(itertools.product(chain2.universe, repeat=2))
     for a, b, c in itertools.product(pts, repeat=3):
-        assert _dist_tuples_raw(chain2, good, a, c) <= _dist_tuples_raw(
-            chain2, good, a, b
-        ) + _dist_tuples_raw(chain2, good, b, c)
+        assert good.d(a, c) <= good.d(a, b) + good.d(b, c)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -168,8 +168,9 @@ def test_phi_three_point_mixed_distances():
     )
     poset = encode_metric(space)
     images = phi_metric(space, poset, identity_embedding(poset))
-    assert dist_metric_tuples(poset, space.spectrum, images["a"], images["b"]) == 1
-    assert dist_metric_tuples(poset, space.spectrum, images["a"], images["c"]) == 2
+    tuples = decode_poset_metric(poset, space.spectrum)
+    assert tuples.d(images["a"], images["b"]) == 1
+    assert tuples.d(images["a"], images["c"]) == 2
 
 
 def test_phi_known_gap_on_ungraded_tight_spectrum():

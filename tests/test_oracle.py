@@ -527,6 +527,16 @@ def test_gr_examples():
         decide_gr(A0, 1, 2, 1, 2)
 
 
+def test_w00_holds_on_both_deciders():
+    """W^0_0 holds the empty word alone, which is also the one candidate
+    and its one composite, so each of the two colorings makes it
+    monochromatic."""
+    counts = {"hom_AC": 1, "hom_BC": 1, "hom_AB": 1, "colorings_checked": 2}
+    for verdict in (decide_gr(A0, 0, 0, 0, 2),
+                    decide_arrow(ArrowInstance(WordCategory(A0), 0, 0, 0, 2))):
+        assert (verdict.holds, verdict.counts, verdict.bad_coloring) == (True, counts, None)
+
+
 def _reference_gr(alphabet, n, m, ell, k):
     """(holds, counts, bad coloring) of n -> (m)^ell_k by testing every
     candidate under every coloring of W^n_ell, one coloring at a time in

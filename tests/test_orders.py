@@ -225,5 +225,5 @@ def test_tuple_keys_match_cmp_to_key_sort(kind):
     random.Random(f"orders:{kind}").shuffle(tuples)
     expected = sorted(tuples, key=functools.cmp_to_key(
         lambda a, b: _index_walk_compare(order, kind, a, b)))
-    points = [tuple(map(order.elements.__getitem__, t)) for t in _tuple_ranks(poset, 3, 27, kind)]
+    points = [tuple(map(order.elements.__getitem__, t)) for t in _tuple_ranks(poset, 3, kind)]
     assert points == expected

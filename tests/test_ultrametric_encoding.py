@@ -20,7 +20,6 @@ from ramseylift.structures import (
 )
 from ramseylift.ultrametric_encoding import (
     decode_poset_ultra,
-    dist_ultra_tuples,
     encode_ultrametric,
     phi_ultra,
     reduce_spectrum,
@@ -61,23 +60,21 @@ def test_encode_is_valid_ordered_poset():
 def test_dist_tuples_examples():
     poset = encode_ultrametric(ULTRA3).poset
     x, y = poset.universe[0], poset.universe[1]
-    assert dist_ultra_tuples(poset, S012, (x, y), (x, y)) == 0
-    assert dist_ultra_tuples(poset, S012, (x, y), (y, y)) == 1
-    assert dist_ultra_tuples(poset, S012, (x, x), (x, y)) == 2
+    space = decode_poset_ultra(poset, S012)
+    assert space.d((x, y), (x, y)) == 0
+    assert space.d((x, y), (y, y)) == 1
+    assert space.d((x, x), (x, y)) == 2
     with pytest.raises(DomainError):
-        dist_ultra_tuples(poset, S012, (x,), (x, y))
+        space.d((x,), (x, y))
 
 
 def test_dist_tuples_is_ultrametric_exhaustively():
     for poset in all_posets_on(2):
         for k in (1, 2, 3):
-            spectrum = tuple(Fraction(i) for i in range(k + 1))
+            space = decode_poset_ultra(poset, tuple(Fraction(i) for i in range(k + 1)))
             pts = list(itertools.product(poset.universe, repeat=k))
             for a, b, c in itertools.product(pts, repeat=3):
-                dab = dist_ultra_tuples(poset, spectrum, a, b)
-                dbc = dist_ultra_tuples(poset, spectrum, b, c)
-                dac = dist_ultra_tuples(poset, spectrum, a, c)
-                assert dac <= max(dab, dbc)
+                assert space.d(a, c) <= max(space.d(a, b), space.d(b, c))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -103,8 +100,8 @@ def test_decode_examples():
 
 def test_decode_budget():
     poset = next(all_posets_on(3))
-    with pytest.raises(BudgetError):
-        decode_poset_ultra(poset, [0, 1, 2, 3], max_points=8)
+    with pytest.raises(BudgetError, match="729 points, above the bound 343"):
+        decode_poset_ultra(poset, range(7))
 
 
 def test_phi_identity_target():
@@ -114,7 +111,7 @@ def test_phi_identity_target():
         Ball(frozenset({"a"}), 0),
         Ball(frozenset({"a", "b"}), 1),
     )
-    assert dist_ultra_tuples(bp.poset, ULTRA3.spectrum, images["a"], images["b"]) == 1
+    assert decode_poset_ultra(bp.poset, ULTRA3.spectrum).d(images["a"], images["b"]) == 1
 
 
 def test_phi_one_point_space():

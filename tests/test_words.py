@@ -100,8 +100,9 @@ def test_compose_mismatches():
 def test_identity_shape():
     assert identity(A0, 3).text() == "x1 x2 x3"
     assert identity(A0, 1).text() == "x1"
+    assert (identity(A0, 0).n, identity(A0, 0).m, identity(A0, 0).text()) == (0, 0, "")
     with pytest.raises(DomainError):
-        identity(A0, 0)
+        identity(A0, -1)
 
 
 def test_enumerate_small_cases():
@@ -117,8 +118,26 @@ def test_enumerate_budget():
 
 
 def test_enumerate_empty_stream_ignores_the_limit():
-    assert list(enumerate_words(A0, 0, 0, 0)) == []
     assert list(enumerate_words(A0, 2, 3, 0)) == []
+    # W^0_0 is not empty: it holds the empty word, which the limit counts
+    with pytest.raises(BudgetError):
+        list(enumerate_words(A0, 0, 0, 0))
+    assert list(enumerate_words(A0, 0, 0, 1)) == [identity(A0, 0)]
+
+
+@pytest.mark.parametrize("alphabet", [Alphabet([]), A0, A01])
+def test_count_words_at_length_zero(alphabet):
+    for m in range(3):
+        assert count_words(alphabet, 0, m) == len(list(enumerate_words(alphabet, 0, m, 1))) == (m == 0)
+
+
+def test_empty_word_composes():
+    empty = parse("", A0)
+    assert (empty.n, empty.m) == (0, 0)
+    assert compose(empty, empty) == empty
+    assert compose(parse("0 0", A0), empty) == parse("0 0", A0)
+    with pytest.raises(WordError, match="x1 never appears"):
+        words.validate((), A0, 1)
 
 
 def test_enumerate_refuses_before_building_a_word(monkeypatch):
